@@ -4,61 +4,14 @@ Submodules:
   noise       band-limited Gaussian generator records and start-point search
   line        traveling-wave transmission line engine and its analytic oracles
   protocol    bit-exchange states, start-up scenarios, defense targets
-  attack      eavesdropper statistics and calibrated decision rule
-  montecarlo  experiment harness and steady-state validation
+  attack      eavesdropper statistic, sign calibration and decision rule
+  montecarlo  trial composition, experiment harness, steady-state validation
   cli         command-line front end
 """
 
-from .noise import (
-    BOLTZMANN,
-    NoiseRecord,
-    StartPoint,
-    estimate_slope,
-    find_start_point,
-    johnson_rms,
-    slope_rms,
-    synthesize_record,
-)
-from .line import (
-    EndState,
-    TransmissionLine,
-    TrialWaveforms,
-    lattice_step_response,
-    reflection_coefficient,
-    run_transient,
-)
-from .protocol import (
-    BitState,
-    GeneratorDrive,
-    PhysicalConfig,
-    ScenarioKind,
-    SearchParams,
-    interpret_bep,
-    prepare_generators,
-    resultant_resistances,
-    run_bep_trial,
-    slope_ratio,
-    steady_state_levels,
-)
-from .attack import (
-    AttackStat,
-    DecisionSign,
-    attack_stat,
-    calibrate_sign,
-    decide_pair,
-    eve_decide,
-    mean_square_window,
-    ms_current_imbalance,
-    ms_voltage_imbalance,
-)
-from .montecarlo import (
-    ExperimentSummary,
-    SteadyStateReport,
-    run_experiment,
-    standard_error,
-    trial_waveforms,
-    validate_steady_state,
-)
-from .cli import RunConfig, parse_config
+from .montecarlo import run_experiment, validate_steady_state
+from .protocol import PhysicalConfig, ScenarioKind
+
+__all__ = ["PhysicalConfig", "ScenarioKind", "run_experiment", "validate_steady_state"]
 
 __version__ = "0.1.0"

@@ -24,66 +24,28 @@ from dataclasses import dataclass
 import numpy as np
 
 from .line import TrialWaveforms
-from .protocol import BitState, PhysicalConfig, ScenarioKind, SearchParams, run_bep_trial
+from .protocol import ScenarioKind
 
-__all__ = [
-    "AttackStat",
-    "DecisionSign",
-    "mean_square_window",
-    "ms_voltage_imbalance",
-    "ms_current_imbalance",
-    "attack_stat",
-    "calibrate_sign",
-    "eve_decide",
-    "decide_pair",
-]
+__all__ = ["DecisionSign", "window_stats", "signs_from_calibration", "decide"]
 
 
-def _window_samples(tau: float, dt: float) -> int:
-    w = int(round(tau / dt))
-    if w < 1:
-        raise ValueError(f"window tau={tau} is shorter than one sample at dt={dt}")
-    return w
+def window_stats(waveforms: TrialWaveforms, tau_steps) -> tuple[np.ndarray, np.ndarray]:
+    """Voltage and current statistics (rho_u, rho_i), one per window.
 
-
-def mean_square_window(series: np.ndarray, tau: float, dt: float) -> float:
-    """Arithmetic mean of squared samples over the half-open window [0, tau)."""
-    w = _window_samples(tau, dt)
-    if w > len(series):
-        raise ValueError(f"window of {w} samples exceeds series length {len(series)}")
-    seg = np.asarray(series[:w])
-    return float(np.mean(seg * seg))
-
-
-def ms_voltage_imbalance(waveforms: TrialWaveforms, tau: float) -> float:
-    """Mean-square cable voltage at Alice's end minus Bob's end over [0, tau)."""
-    dt = waveforms.dt
-    return mean_square_window(waveforms.v_a, tau, dt) - mean_square_window(waveforms.v_b, tau, dt)
-
-
-def ms_current_imbalance(waveforms: TrialWaveforms, tau: float) -> float:
-    """Mean-square cable current at Alice's end minus Bob's end over [0, tau)."""
-    dt = waveforms.dt
-    return mean_square_window(waveforms.i_a, tau, dt) - mean_square_window(waveforms.i_b, tau, dt)
-
-
-@dataclass(frozen=True)
-class AttackStat:
-    """Eve's windowed statistics for one trial and one observation window."""
-
-    rho_u: float
-    rho_i: float
-    tau: float
-    window_samples: int
-
-
-def attack_stat(waveforms: TrialWaveforms, tau: float) -> AttackStat:
-    return AttackStat(
-        ms_voltage_imbalance(waveforms, tau),
-        ms_current_imbalance(waveforms, tau),
-        tau,
-        _window_samples(tau, waveforms.dt),
-    )
+    Window j covers the half-open sample range [0, tau_steps[j]); its
+    statistic is the mean square at Alice's end minus the mean square at
+    Bob's end.  Every window is a prefix of the same running sum.
+    """
+    steps = np.asarray(tau_steps)
+    if steps.min() < 1 or steps.max() > len(waveforms):
+        raise ValueError(
+            f"windows of {steps.min()}..{steps.max()} samples do not fit "
+            f"{len(waveforms)} samples"
+        )
+    cum_u = np.cumsum(waveforms.v_a * waveforms.v_a - waveforms.v_b * waveforms.v_b)
+    cum_i = np.cumsum(waveforms.i_a * waveforms.i_a - waveforms.i_b * waveforms.i_b)
+    width = steps.astype(float)
+    return cum_u[steps - 1] / width, cum_i[steps - 1] / width
 
 
 @dataclass(frozen=True)
@@ -115,72 +77,16 @@ def signs_from_calibration(
     return DecisionSign(out[0], out[1], scenario, tau)
 
 
-def calibrate_sign(
-    scenario: ScenarioKind,
-    tau: float,
-    config: PhysicalConfig,
-    n_cal: int,
-    seed: int | np.random.SeedSequence,
-    params: SearchParams = SearchParams(),
-) -> DecisionSign:
-    """Run n_cal labeled HL rehearsal trials and calibrate the decision signs.
+def decide(sign, rho, coin) -> np.ndarray:
+    """Eve's guess, elementwise: True means HL.
 
-    The calibration streams are children of ``seed`` and must be kept
-    disjoint from evaluation streams by the caller.
+    Guess HL iff sign * rho > 0; an uninformative sign (0) or an exactly
+    zero statistic falls back to the coin, a uniform draw on [0, 1) that
+    says HL below 0.5.  Eve is a single agent, so the voltage and current
+    guesses of one (trial, window) take the same coin: inside the first fly
+    time, where rho_u and rho_i are exact scalar multiples, her two guesses
+    are then identical in every trial.
     """
-    if n_cal < 50:
-        raise ValueError(f"calibration needs n_cal >= 50, got {n_cal}")
-    if not isinstance(seed, np.random.SeedSequence):
-        seed = np.random.SeedSequence(seed)
-    rho_u = np.empty(n_cal)
-    rho_i = np.empty(n_cal)
-    for k, child in enumerate(seed.spawn(n_cal)):
-        wf = run_bep_trial(scenario, BitState.HL, config, child, tau, params)
-        rho_u[k] = ms_voltage_imbalance(wf, tau)
-        rho_i[k] = ms_current_imbalance(wf, tau)
-    return signs_from_calibration(rho_u, rho_i, scenario, tau)
-
-
-def eve_decide(
-    stat: AttackStat,
-    sign: DecisionSign,
-    channel: str,
-    rng: np.random.Generator,
-) -> BitState:
-    """Guess HL or LH from one channel's statistic.
-
-    Guess HL iff sign * rho > 0; an uninformative sign or an exactly zero
-    statistic falls back to a fair coin.
-    """
-    if channel == "voltage":
-        s, rho = sign.sign_u, stat.rho_u
-    elif channel == "current":
-        s, rho = sign.sign_i, stat.rho_i
-    else:
-        raise ValueError(f"channel must be 'voltage' or 'current', got {channel!r}")
-    if s == 0 or rho == 0.0:
-        return BitState.HL if rng.random() < 0.5 else BitState.LH
-    return BitState.HL if s * rho > 0 else BitState.LH
-
-
-def decide_pair(
-    stat: AttackStat, sign: DecisionSign, rng: np.random.Generator
-) -> tuple[BitState, BitState]:
-    """Voltage and current guesses for one trial, sharing one fallback coin.
-
-    Eve is a single agent: when neither statistic is usable she flips one
-    coin for the bit, not one per channel.  Inside the first fly time this
-    keeps her voltage and current guesses identical in every trial, whether
-    the signs are informative (rho_u and rho_i are then exact scalar
-    multiples) or not.
-    """
-    coin = BitState.HL if rng.random() < 0.5 else BitState.LH
-    if sign.sign_u == 0 or stat.rho_u == 0.0:
-        guess_v = coin
-    else:
-        guess_v = BitState.HL if sign.sign_u * stat.rho_u > 0 else BitState.LH
-    if sign.sign_i == 0 or stat.rho_i == 0.0:
-        guess_i = coin
-    else:
-        guess_i = BitState.HL if sign.sign_i * stat.rho_i > 0 else BitState.LH
-    return guess_v, guess_i
+    sign = np.asarray(sign)
+    rho = np.asarray(rho)
+    return np.where((sign == 0) | (rho == 0.0), np.asarray(coin) < 0.5, sign * rho > 0)

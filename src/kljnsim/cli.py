@@ -14,21 +14,23 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .line import lattice_step_response, run_transient
 from .montecarlo import run_experiment, trial_waveforms, validate_steady_state
-from .protocol import PhysicalConfig, ScenarioKind, SearchParams
+from .protocol import PhysicalConfig, ScenarioKind, SearchParams, _require_finite_positive
 
 __all__ = ["RunConfig", "parse_config", "cmd_tables", "cmd_waveforms", "cmd_validate", "main"]
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Full experiment configuration (physical parameters plus run controls)."""
+    """Full experiment configuration (physical parameters, run controls and
+    search settings).  Its leaf fields, in declaration order, are the keys of
+    the configuration file."""
 
     physical: PhysicalConfig = field(default_factory=PhysicalConfig)
     scenarios: tuple[int, ...] = (1, 2, 3, 4)
@@ -36,11 +38,7 @@ class RunConfig:
     n_trials: int = 1000
     n_cal: int = 200
     master_seed: int = 1
-    record_len: int = 2**20
-    zero_value_tol: float = 1e-3
-    slope_tol: float = 1e-2
-    s3_value_tol: float = 1e-3
-    s3_value_fraction: float = 0.5
+    search: SearchParams = field(default_factory=SearchParams)
     random_state: bool = False
     steady_duration: float = 6.4
     jobs: int = 1
@@ -57,47 +55,37 @@ class RunConfig:
             raise ValueError("n_cal must be >= 50")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
-        # SearchParams re-validates the tolerance fields.
-        self.search_params()
-
-    def search_params(self) -> SearchParams:
-        return SearchParams(
-            zero_value_tol=self.zero_value_tol,
-            slope_tol=self.slope_tol,
-            s3_value_tol=self.s3_value_tol,
-            s3_value_fraction=self.s3_value_fraction,
-            record_len=self.record_len,
-        )
+        _require_finite_positive(self, ("steady_duration",))
 
     def taus(self) -> list[float]:
         return [m * self.physical.fly_time for m in self.tau_multipliers]
 
     def to_text(self) -> str:
-        p = self.physical
-        pairs = [
-            ("r_h", f"{p.r_h:g}"),
-            ("r_l", f"{p.r_l:g}"),
-            ("z0", f"{p.z0:g}"),
-            ("temperature", f"{p.temperature:g}"),
-            ("bandwidth", f"{p.bandwidth:g}"),
-            ("t_f", f"{p.fly_time:g}"),
-            ("dt_divisor", str(p.dt_divisor)),
-            ("scenarios", ",".join(str(s) for s in self.scenarios)),
-            ("tau_multipliers", ",".join(str(m) for m in self.tau_multipliers)),
-            ("n_trials", str(self.n_trials)),
-            ("n_cal", str(self.n_cal)),
-            ("master_seed", str(self.master_seed)),
-            ("record_len", str(self.record_len)),
-            ("zero_value_tol", f"{self.zero_value_tol:g}"),
-            ("slope_tol", f"{self.slope_tol:g}"),
-            ("s3_value_tol", f"{self.s3_value_tol:g}"),
-            ("s3_value_fraction", f"{self.s3_value_fraction:g}"),
-            ("random_state", "true" if self.random_state else "false"),
-            ("steady_duration", f"{self.steady_duration:g}"),
-            ("jobs", str(self.jobs)),
-            ("out_dir", self.out_dir),
-        ]
-        return "\n".join(f"{k} = {v}" for k, v in pairs) + "\n"
+        return "".join(f"{key} = {_format(value)}\n" for key, _, value in _leaves(self))
+
+
+# Config keys that differ from their field names.
+_ALIASES = {"fly_time": "t_f"}
+
+
+def _leaves(obj, path: tuple[str, ...] = ()):
+    """(config key, field path, value) of every leaf field, in declaration order."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if is_dataclass(value):
+            yield from _leaves(value, path + (f.name,))
+        else:
+            yield _ALIASES.get(f.name, f.name), path + (f.name,), value
+
+
+def _format(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return f"{value:g}"
+    if isinstance(value, tuple):
+        return ",".join(str(v) for v in value)
+    return str(value)
 
 
 def _parse_bool(raw: str) -> bool:
@@ -113,32 +101,16 @@ def _parse_int_list(raw: str) -> tuple[int, ...]:
     return tuple(int(part.strip()) for part in raw.split(",") if part.strip())
 
 
-_PHYSICAL_KEYS = {
-    "r_h": ("r_h", float),
-    "r_l": ("r_l", float),
-    "z0": ("z0", float),
-    "temperature": ("temperature", float),
-    "bandwidth": ("bandwidth", float),
-    "t_f": ("fly_time", float),
-    "dt_divisor": ("dt_divisor", int),
-}
+# Parsers by the type of a field's default value; other types parse themselves.
+_PARSERS = {bool: _parse_bool, tuple: _parse_int_list}
 
-_RUN_KEYS = {
-    "scenarios": _parse_int_list,
-    "tau_multipliers": _parse_int_list,
-    "n_trials": int,
-    "n_cal": int,
-    "master_seed": int,
-    "record_len": int,
-    "zero_value_tol": float,
-    "slope_tol": float,
-    "s3_value_tol": float,
-    "s3_value_fraction": float,
-    "random_state": _parse_bool,
-    "steady_duration": float,
-    "jobs": int,
-    "out_dir": str,
-}
+
+def _replace_nested(obj, changes: dict):
+    """``obj`` with ``changes`` (nested by field name) applied."""
+    return replace(obj, **{
+        name: _replace_nested(getattr(obj, name), value) if isinstance(value, dict) else value
+        for name, value in changes.items()
+    })
 
 
 def parse_config(text: str) -> RunConfig:
@@ -147,8 +119,9 @@ def parse_config(text: str) -> RunConfig:
     Unknown keys, malformed values and invariant violations raise ValueError
     naming the offending key; omitted keys take the defaults.
     """
-    phys_kwargs: dict = {}
-    run_kwargs: dict = {}
+    default = RunConfig()
+    schema = {key: (path, type(value)) for key, path, value in _leaves(default)}
+    changes: dict = {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
@@ -157,45 +130,35 @@ def parse_config(text: str) -> RunConfig:
             raise ValueError(f"line {lineno}: expected 'key = value', got {raw_line!r}")
         key, _, raw_value = line.partition("=")
         key = key.strip()
-        raw_value = raw_value.strip()
+        if key not in schema:
+            raise ValueError(f"unknown config key: {key!r} (line {lineno})")
+        path, kind = schema[key]
         try:
-            if key in _PHYSICAL_KEYS:
-                attr, parser = _PHYSICAL_KEYS[key]
-                phys_kwargs[attr] = parser(raw_value)
-            elif key in _RUN_KEYS:
-                run_kwargs[key] = _RUN_KEYS[key](raw_value)
-            else:
-                raise KeyError
-        except KeyError:
-            raise ValueError(f"unknown config key: {key!r} (line {lineno})") from None
+            value = _PARSERS.get(kind, kind)(raw_value.strip())
         except ValueError as exc:
             raise ValueError(f"bad value for {key!r} (line {lineno}): {exc}") from None
+        node = changes
+        for name in path[:-1]:
+            node = node.setdefault(name, {})
+        node[path[-1]] = value
     try:
-        physical = PhysicalConfig(**phys_kwargs)
-        return RunConfig(physical=physical, **run_kwargs)
+        return _replace_nested(default, changes)
     except ValueError as exc:
         raise ValueError(f"invalid configuration: {exc}") from None
 
 
+# Command-line flags and the config keys they override.
+_FLAG_KEYS = {"seed": "master_seed", "scenario": "scenarios", "trials": "n_trials",
+              "jobs": "jobs", "duration": "steady_duration", "out": "out_dir"}
+
+
 def _load_config(args: argparse.Namespace) -> RunConfig:
-    if args.config is not None:
-        cfg = parse_config(Path(args.config).read_text())
-    else:
-        cfg = RunConfig()
-    overrides: dict = {}
-    if getattr(args, "seed", None) is not None:
-        overrides["master_seed"] = args.seed
-    if getattr(args, "scenario", None) is not None:
-        overrides["scenarios"] = (args.scenario,)
-    if getattr(args, "trials", None) is not None:
-        overrides["n_trials"] = args.trials
-    if getattr(args, "jobs", None) is not None:
-        overrides["jobs"] = args.jobs
-    if getattr(args, "duration", None) is not None:
-        overrides["steady_duration"] = args.duration
-    if getattr(args, "out", None) is not None:
-        overrides["out_dir"] = args.out
-    return replace(cfg, **overrides) if overrides else cfg
+    cfg = RunConfig() if args.config is None else parse_config(Path(args.config).read_text())
+    overrides = {key: getattr(args, flag) for flag, key in _FLAG_KEYS.items()
+                 if getattr(args, flag, None) is not None}
+    if "scenarios" in overrides:
+        overrides["scenarios"] = (overrides["scenarios"],)
+    return replace(cfg, **overrides)
 
 
 def _prepare_out_dir(cfg: RunConfig, out: str) -> Path:
@@ -218,7 +181,7 @@ def cmd_tables(cfg: RunConfig, out: str) -> list[Path]:
             cfg.n_trials,
             cfg.master_seed,
             n_cal=cfg.n_cal,
-            params=cfg.search_params(),
+            params=cfg.search,
             random_state=cfg.random_state,
             jobs=cfg.jobs,
         )
@@ -241,7 +204,7 @@ def cmd_waveforms(cfg: RunConfig, scenario: int, out: str) -> Path:
         trial=0,
         master_seed=cfg.master_seed,
         duration=2.0 * cfg.physical.fly_time,
-        params=cfg.search_params(),
+        params=cfg.search,
     )
     path = out_dir / f"waveforms_scenario_{scenario}.tsv"
     wf.write_tsv(path)

@@ -1,5 +1,5 @@
-"""Experiment harness: repeated independent trials, success-rate estimation,
-steady-state validation, reproducible seeding.
+"""Experiment harness: trial composition, repeated independent trials,
+success-rate estimation, steady-state validation, reproducible seeding.
 
 Seeding scheme: every trial owns the stream
 ``SeedSequence(master_seed, spawn_key=(scenario, phase, trial_index))`` with
@@ -21,8 +21,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attack import signs_from_calibration, DecisionSign
-from .line import _propagate, ideal_line_steady_state, run_transient
+from .attack import DecisionSign, decide, signs_from_calibration, window_stats
+from .line import (
+    TrialWaveforms,
+    _propagate,
+    ideal_line_steady_state,
+    reflection_coefficient,
+    run_transient,
+)
 from .noise import in_band_bins, synthesize_record
 from .protocol import (
     BitState,
@@ -31,6 +37,7 @@ from .protocol import (
     SearchParams,
     prepare_generators,
     resultant_resistances,
+    steady_state_levels,
 )
 
 __all__ = [
@@ -55,6 +62,36 @@ def standard_error(p: float, n: int) -> float:
     return math.sqrt(p * (1.0 - p) / n)
 
 
+def _trial(
+    config: PhysicalConfig,
+    scenario: ScenarioKind,
+    phase: int,
+    trial: int,
+    master_seed: int,
+    n_steps: int,
+    params: SearchParams,
+    random_state: bool,
+) -> tuple[TrialWaveforms, BitState, bool, np.random.SeedSequence]:
+    """Build one trial on its own (scenario, phase, trial) stream.
+
+    Calibration trials, and evaluation trials without ``random_state``,
+    arrange the HL state; otherwise the state is drawn from the trial's
+    stream.  Returns the waveforms of an n_steps cold-start transient, the
+    state, whether either party's search loosened its tolerances, and the
+    seed of the trial's fallback coins.
+    """
+    ss = np.random.SeedSequence(master_seed, spawn_key=(int(scenario), phase, trial))
+    drive_seed, state_seed, coin_seed = ss.spawn(3)
+    if phase == _PHASE_CAL or not random_state:
+        state = BitState.HL
+    else:
+        state = BitState.HL if np.random.default_rng(state_seed).random() < 0.5 else BitState.LH
+    drive_a, drive_b = prepare_generators(scenario, state, config, drive_seed, n_steps, params)
+    r_a, r_b = state.resistors(config)
+    wf = run_transient(config, drive_a.as_input(), r_a, drive_b.as_input(), r_b, n_steps)
+    return wf, state, drive_a.loosened or drive_b.loosened, coin_seed
+
+
 @dataclass(frozen=True)
 class _TrialResult:
     rho_u: np.ndarray       # per requested window
@@ -74,23 +111,12 @@ def _run_trial(
     params: SearchParams,
     random_state: bool,
 ) -> _TrialResult:
-    ss = np.random.SeedSequence(master_seed, spawn_key=(int(scenario), phase, trial))
-    drive_seed, state_seed, coin_seed = ss.spawn(3)
-    if phase == _PHASE_CAL or not random_state:
-        state = BitState.HL
-    else:
-        state = BitState.HL if np.random.default_rng(state_seed).random() < 0.5 else BitState.LH
-    n_steps = max(tau_steps)
-    drive_a, drive_b = prepare_generators(scenario, state, config, drive_seed, n_steps, params)
-    r_a, r_b = state.resistors(config)
-    wf = run_transient(config, drive_a.as_input(), r_a, drive_b.as_input(), r_b, n_steps)
-    cum_u = np.cumsum(wf.v_a * wf.v_a - wf.v_b * wf.v_b)
-    cum_i = np.cumsum(wf.i_a * wf.i_a - wf.i_b * wf.i_b)
-    idx = np.asarray(tau_steps) - 1
-    rho_u = cum_u[idx] / np.asarray(tau_steps, dtype=float)
-    rho_i = cum_i[idx] / np.asarray(tau_steps, dtype=float)
+    wf, state, loosened, coin_seed = _trial(
+        config, scenario, phase, trial, master_seed, max(tau_steps), params, random_state
+    )
+    rho_u, rho_i = window_stats(wf, tau_steps)
     coins = np.random.default_rng(coin_seed).random(len(tau_steps))
-    return _TrialResult(rho_u, rho_i, coins, state, drive_a.loosened or drive_b.loosened)
+    return _TrialResult(rho_u, rho_i, coins, state, loosened)
 
 
 def _run_chunk(args) -> list[_TrialResult]:
@@ -132,7 +158,7 @@ class ExperimentSummary:
     """Per-window attack success estimates for one scenario.
 
     decisions_v / decisions_i hold one guess-correctness flag per
-    (evaluation trial, window) when the experiment was asked to keep them.
+    (evaluation trial, window).
     """
 
     scenario: ScenarioKind
@@ -146,8 +172,8 @@ class ExperimentSummary:
     master_seed: int
     loosened_fraction: float
     signs: list[DecisionSign]
-    decisions_v: np.ndarray | None = field(default=None, repr=False)
-    decisions_i: np.ndarray | None = field(default=None, repr=False)
+    decisions_v: np.ndarray = field(repr=False)
+    decisions_i: np.ndarray = field(repr=False)
 
     def csv_lines(self) -> list[str]:
         lines = ["scenario,tau_s,p_ev,se_v,p_ei,se_i,n,loosened_fraction"]
@@ -171,23 +197,13 @@ def trial_waveforms(
     master_seed: int,
     duration: float,
     params: SearchParams = SearchParams(),
-    state: BitState = BitState.HL,
-):
-    """Waveforms of one evaluation-phase trial, on the same stream derivation
-    run_experiment uses (useful for dumping what an experiment actually saw)."""
-    ss = np.random.SeedSequence(master_seed, spawn_key=(int(scenario), _PHASE_EVAL, trial))
-    drive_seed = ss.spawn(3)[0]
+) -> TrialWaveforms:
+    """Waveforms of one evaluation-phase trial in the HL state, built exactly
+    as run_experiment builds it (useful for dumping what an experiment saw)."""
+    if duration < config.dt:
+        raise ValueError(f"duration {duration} shorter than one timestep {config.dt}")
     n_steps = int(round(duration / config.dt))
-    drive_a, drive_b = prepare_generators(scenario, state, config, drive_seed, n_steps, params)
-    r_a, r_b = state.resistors(config)
-    return run_transient(config, drive_a.as_input(), r_a, drive_b.as_input(), r_b, n_steps)
-
-
-def _decide(sign: int, rho: float, coin: float) -> bool:
-    """True = guess HL (per calibrated sign; fair coin when undecidable)."""
-    if sign == 0 or rho == 0.0:
-        return coin < 0.5
-    return sign * rho > 0
+    return _trial(config, scenario, _PHASE_EVAL, trial, master_seed, n_steps, params, False)[0]
 
 
 def run_experiment(
@@ -200,17 +216,19 @@ def run_experiment(
     params: SearchParams = SearchParams(),
     random_state: bool = False,
     jobs: int = 1,
-    keep_decisions: bool = False,
 ) -> ExperimentSummary:
     """Calibrate Eve's signs, then estimate her per-window success probability.
 
-    Evaluation trials arrange the HL state unless ``random_state`` is set,
-    in which case each trial draws HL or LH from its own stream.  A guess is
-    correct when it names the trial's actual state; the two channels share
-    one fallback coin per (trial, window).
+    Calibration runs ``n_cal`` labeled HL trials.  Evaluation trials arrange
+    the HL state unless ``random_state`` is set, in which case each trial
+    draws HL or LH from its own stream.  A guess is correct when it names
+    the trial's actual state; the two channels share one fallback coin per
+    (trial, window).
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
+    if n_cal < 50:
+        raise ValueError(f"calibration needs n_cal >= 50, got {n_cal}")
     taus = np.asarray(list(tau_list), dtype=float)
     if len(taus) == 0:
         raise ValueError("tau_list must be nonempty")
@@ -225,28 +243,19 @@ def run_experiment(
 
     cal = _collect(config, scenario, _PHASE_CAL, n_cal, master_seed, tau_steps, params,
                    False, jobs)
+    cal_u = np.array([r.rho_u for r in cal])
+    cal_i = np.array([r.rho_i for r in cal])
     signs = [
-        signs_from_calibration(
-            np.array([r.rho_u[j] for r in cal]),
-            np.array([r.rho_i[j] for r in cal]),
-            scenario,
-            taus[j],
-        )
+        signs_from_calibration(cal_u[:, j], cal_i[:, j], scenario, taus[j])
         for j in range(len(taus))
     ]
 
     ev = _collect(config, scenario, _PHASE_EVAL, n_trials, master_seed, tau_steps, params,
                   random_state, jobs)
-    n_tau = len(taus)
-    ok_v = np.zeros((n_trials, n_tau), dtype=bool)
-    ok_i = np.zeros((n_trials, n_tau), dtype=bool)
-    for t, res in enumerate(ev):
-        actual_hl = res.state == BitState.HL
-        for j in range(n_tau):
-            guess_v = _decide(signs[j].sign_u, res.rho_u[j], res.coins[j])
-            guess_i = _decide(signs[j].sign_i, res.rho_i[j], res.coins[j])
-            ok_v[t, j] = guess_v == actual_hl
-            ok_i[t, j] = guess_i == actual_hl
+    coins = np.array([r.coins for r in ev])
+    actual_hl = np.array([r.state == BitState.HL for r in ev])[:, None]
+    ok_v = decide([s.sign_u for s in signs], np.array([r.rho_u for r in ev]), coins) == actual_hl
+    ok_i = decide([s.sign_i for s in signs], np.array([r.rho_i for r in ev]), coins) == actual_hl
     p_ev = ok_v.mean(axis=0)
     p_ei = ok_i.mean(axis=0)
     return ExperimentSummary(
@@ -261,8 +270,8 @@ def run_experiment(
         master_seed=master_seed,
         loosened_fraction=float(np.mean([r.loosened for r in ev])),
         signs=signs,
-        decisions_v=ok_v if keep_decisions else None,
-        decisions_i=ok_i if keep_decisions else None,
+        decisions_v=ok_v,
+        decisions_i=ok_i,
     )
 
 
@@ -403,8 +412,8 @@ def validate_steady_state(
         raise ValueError(
             f"duration {duration} s is below the minimum {min_duration} s (1000/B)"
         )
-    gamma_prod = ((config.r_h - config.z0) / (config.r_h + config.z0)) * (
-        (config.r_l - config.z0) / (config.r_l + config.z0)
+    gamma_prod = reflection_coefficient(config.r_h, config.z0) * reflection_coefficient(
+        config.r_l, config.z0
     )
     settle = 2.0 * config.fly_time / max(1e-12, 1.0 - abs(gamma_prod))
     seg_samples = 2**21
@@ -434,19 +443,18 @@ def validate_steady_state(
         r_a, r_b, config.z0, config.fly_time, freqs,
         config.sigma(r_a) ** 2, config.sigma(r_b) ** 2,
     )
-    r_p, r_s = resultant_resistances(config.r_h, config.r_l)
-    scale = 4.0 * config.boltzmann * config.temperature * config.bandwidth
+    _, r_s = resultant_resistances(config.r_h, config.r_l)
     return SteadyStateReport(
         duration=n_seg * seg_duration,
         n_segments=n_seg,
         ms_voltage=v2,
         ms_voltage_se=v2_se,
         ms_voltage_theory=float(np.mean(v2_line)),
-        ms_voltage_lumped=scale * r_p,
+        ms_voltage_lumped=steady_state_levels(config)[BitState.HL],
         ms_current=i2,
         ms_current_se=i2_se,
         ms_current_theory=float(np.mean(i2_line)),
-        ms_current_lumped=scale / r_s,
+        ms_current_lumped=(config.sigma(r_s) / r_s) ** 2,
         hl_lh_voltage_diff=v2 - v2l,
         hl_lh_voltage_diff_se=math.hypot(v2_se, v2l_se),
         hl_lh_current_diff=i2 - i2l,

@@ -77,14 +77,12 @@ class NoiseRecord:
     dt          sampling interval (s)
     bandwidth   upper band edge of the flat spectrum (Hz)
     target_rms  generator RMS the record is scaled to (V)
-    seed_tag    identifier of the RNG stream that produced the record
     """
 
     samples: np.ndarray
     dt: float
     bandwidth: float
     target_rms: float
-    seed_tag: str = ""
 
     def __post_init__(self) -> None:
         if len(self.samples) < 2:
@@ -96,10 +94,6 @@ class NoiseRecord:
 
     def __len__(self) -> int:
         return len(self.samples)
-
-    @property
-    def duration(self) -> float:
-        return len(self.samples) * self.dt
 
     def write_tsv(self, path) -> None:
         """Dump as two-column TSV: time in s, voltage in V, 9 significant digits."""
@@ -138,7 +132,6 @@ def synthesize_record(
     dt: float,
     bandwidth: float,
     sigma: float,
-    seed_tag: str = "",
 ) -> NoiseRecord:
     """Synthesize a stationary Gaussian record with a flat spectrum on (0, B].
 
@@ -169,12 +162,12 @@ def synthesize_record(
         )
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     if sigma == 0.0:
-        return NoiseRecord(np.zeros(n), dt, bandwidth, 0.0, seed_tag)
+        return NoiseRecord(np.zeros(n), dt, bandwidth, 0.0)
     spectrum = np.zeros(n // 2 + 1, dtype=complex)
     spectrum[1 : n_bins + 1] = rng.standard_normal(n_bins) + 1j * rng.standard_normal(n_bins)
     samples = np.fft.irfft(spectrum, n)
     samples *= sigma / math.sqrt(float(np.mean(samples * samples)))
-    return NoiseRecord(samples, dt, bandwidth, sigma, seed_tag)
+    return NoiseRecord(samples, dt, bandwidth, sigma)
 
 
 def estimate_slope(record: NoiseRecord, index: int) -> float:
@@ -264,7 +257,7 @@ def find_start_point(
     index, negate = best
     sign = -1.0 if negate else 1.0
     value = sign * s[index]
-    slope = sign * (s[index + 1] - s[index - 1]) / (2.0 * record.dt)
+    slope = sign * estimate_slope(record, index)
     if record.target_rms > 0:
         achieved_value = abs(value - target_value) / record.target_rms
     else:

@@ -26,12 +26,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .line import TrialWaveforms, run_transient
 from .noise import (
-    BOLTZMANN,
     NoiseRecord,
     StartPoint,
+    estimate_slope,
     find_start_point,
+    johnson_rms,
     slope_rms,
     synthesize_record,
 )
@@ -42,13 +42,24 @@ __all__ = [
     "ScenarioKind",
     "SearchParams",
     "GeneratorDrive",
+    "MAX_REGEN",
     "resultant_resistances",
     "slope_ratio",
     "steady_state_levels",
     "interpret_bep",
     "prepare_generators",
-    "run_bep_trial",
 ]
+
+# Fresh records tried at the base tolerances before they start doubling; a
+# party gives up after 10 * MAX_REGEN records.
+MAX_REGEN = 10
+
+
+def _require_finite_positive(obj, names) -> None:
+    for name in names:
+        value = getattr(obj, name)
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
 @dataclass(frozen=True)
@@ -66,18 +77,14 @@ class PhysicalConfig:
     bandwidth: float = 5e3
     fly_time: float = 1e-5
     dt_divisor: int = 100
-    boltzmann: float = BOLTZMANN
 
     def __post_init__(self) -> None:
-        if not self.r_h > self.r_l > 0:
+        _require_finite_positive(self, ("r_h", "r_l", "z0", "temperature", "bandwidth", "fly_time"))
+        if not self.r_h > self.r_l:
             raise ValueError(f"need r_h > r_l > 0, got r_h={self.r_h}, r_l={self.r_l}")
-        for name in ("z0", "temperature", "bandwidth", "fly_time"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if int(self.dt_divisor) != self.dt_divisor or self.dt_divisor < 10:
+        if not (math.isfinite(self.dt_divisor) and int(self.dt_divisor) == self.dt_divisor
+                and self.dt_divisor >= 10):
             raise ValueError(f"dt_divisor must be an integer >= 10, got {self.dt_divisor}")
-        if self.boltzmann <= 0:
-            raise ValueError("boltzmann must be positive")
 
     @property
     def dt(self) -> float:
@@ -85,7 +92,7 @@ class PhysicalConfig:
 
     def sigma(self, resistance: float) -> float:
         """Generator RMS for a resistor at the configured temperature and band."""
-        return math.sqrt(4.0 * self.boltzmann * self.temperature * resistance * self.bandwidth)
+        return johnson_rms(self.temperature, resistance, self.bandwidth)
 
 
 class BitState(enum.Enum):
@@ -139,7 +146,7 @@ def steady_state_levels(config: PhysicalConfig) -> dict[BitState, float]:
     for state in BitState:
         r_a, r_b = state.resistors(config)
         r_p, _ = resultant_resistances(r_a, r_b)
-        levels[state] = 4.0 * config.boltzmann * config.temperature * r_p * config.bandwidth
+        levels[state] = config.sigma(r_p) ** 2
     return levels
 
 
@@ -158,29 +165,24 @@ def interpret_bep(state: BitState, hl_bit: int = 1) -> int | None:
 class SearchParams:
     """Defense search settings.
 
+    record_len       samples per synthesized record
     zero_value_tol   near-zero window for scenarios 2 and 4, relative to the
                      record RMS
     slope_tol        relative slope window around the public target
     s3_value_tol     value window for scenario 3, relative to the record RMS
     s3_value_fraction  public L-side start value, as a fraction of sigma_L
-    max_regen        fresh records tried before tolerances start doubling
-    record_len       samples per synthesized record
     """
 
+    record_len: int = 2**20
     zero_value_tol: float = 1e-3
     slope_tol: float = 1e-2
     s3_value_tol: float = 1e-3
     s3_value_fraction: float = 0.5
-    max_regen: int = 10
-    record_len: int = 2**20
 
     def __post_init__(self) -> None:
-        if min(self.zero_value_tol, self.slope_tol, self.s3_value_tol) <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.s3_value_fraction <= 0:
-            raise ValueError("s3_value_fraction must be positive")
-        if self.max_regen < 0:
-            raise ValueError("max_regen must be non-negative")
+        _require_finite_positive(
+            self, ("zero_value_tol", "slope_tol", "s3_value_tol", "s3_value_fraction")
+        )
         if self.record_len < 2:
             raise ValueError("record_len must be >= 2")
 
@@ -237,15 +239,16 @@ def _prepare_party(
     params: SearchParams,
     seed: np.random.SeedSequence,
     n_steps: int,
-    tag: str,
 ) -> GeneratorDrive:
     """Synthesize records until a qualifying start point is found.
 
-    Up to max_regen fresh records are tried at the base tolerances; after
+    Up to MAX_REGEN fresh records are tried at the base tolerances; after
     that the slope tolerance (and the value tolerance, for value-targeted
-    searches wider than the zero window) doubles every further max_regen
-    attempts, so the search always terminates and the achieved tolerances
-    stay auditable in the StartPoint.
+    searches wider than the zero window) doubles every further MAX_REGEN
+    records, and the achieved tolerances stay auditable in the StartPoint.
+    The zero window never loosens, so after 10 * MAX_REGEN records the
+    search gives up with a ValueError naming the targets and the
+    tolerances it last tried.
     """
     n = params.record_len
     max_start = n - 1 - n_steps
@@ -253,21 +256,21 @@ def _prepare_party(
         raise ValueError(f"record_len {n} too short for {n_steps} transient steps")
     value_tol = targets.value_tol
     slope_tol = targets.slope_tol
-    attempt = 0
     loosened = False
-    while True:
+    for attempt in range(1, 10 * MAX_REGEN + 1):
+        if attempt > 1 and (attempt - 1) % MAX_REGEN == 0:
+            loosened = True
+            slope_tol *= 2.0
+            if targets.target_value != 0.0:
+                value_tol *= 2.0
         child = seed.spawn(1)[0]
-        record = synthesize_record(
-            child, n, config.dt, config.bandwidth, targets.sigma,
-            seed_tag=f"{tag}/a{attempt}",
-        )
+        record = synthesize_record(child, n, config.dt, config.bandwidth, targets.sigma)
         if targets.target_value is None:
             rng = np.random.default_rng(child.spawn(1)[0])
             index = int(rng.integers(1, max_start + 1))
-            s = record.samples
-            slope = (s[index + 1] - s[index - 1]) / (2.0 * record.dt)
-            start = StartPoint(index, float(s[index]), float(slope), math.nan, math.nan)
-            return GeneratorDrive(record, start, False, attempt + 1)
+            slope = float(estimate_slope(record, index))
+            start = StartPoint(index, float(record.samples[index]), slope, math.nan, math.nan)
+            return GeneratorDrive(record, start, False, attempt)
         start = find_start_point(
             record,
             targets.target_value,
@@ -277,14 +280,15 @@ def _prepare_party(
             allow_negation=True,
             max_index=max_start,
         )
-        attempt += 1
         if start is not None:
             return GeneratorDrive(record, start, loosened, attempt)
-        if attempt % params.max_regen == 0:
-            loosened = True
-            slope_tol *= 2.0
-            if targets.target_value != 0.0:
-                value_tol *= 2.0
+    slope = ("any slope" if targets.target_slope is None
+             else f"slope {targets.target_slope:.6g} V/s within {slope_tol:g} relative")
+    raise ValueError(
+        f"no start point in {10 * MAX_REGEN} records of {n} samples: value "
+        f"{targets.target_value:.6g} V within {value_tol:g} x RMS, {slope}; "
+        "widen the search tolerances or lengthen record_len"
+    )
 
 
 def prepare_generators(
@@ -308,23 +312,7 @@ def prepare_generators(
         seed = np.random.SeedSequence(seed)
     t_a, t_b = _scenario_targets(scenario, state, config, params)
     seed_a, seed_b = seed.spawn(2)
-    drive_a = _prepare_party(t_a, config, params, seed_a, n_steps, f"s{int(scenario)}/alice")
-    drive_b = _prepare_party(t_b, config, params, seed_b, n_steps, f"s{int(scenario)}/bob")
-    return drive_a, drive_b
-
-
-def run_bep_trial(
-    scenario: ScenarioKind,
-    state: BitState,
-    config: PhysicalConfig,
-    seed: int | np.random.SeedSequence,
-    duration: float,
-    params: SearchParams = SearchParams(),
-) -> TrialWaveforms:
-    """One bit-exchange transient: prepare generators, drive a cold line."""
-    if duration < config.dt:
-        raise ValueError(f"duration {duration} shorter than one timestep {config.dt}")
-    n_steps = int(round(duration / config.dt))
-    drive_a, drive_b = prepare_generators(scenario, state, config, seed, n_steps, params)
-    r_a, r_b = state.resistors(config)
-    return run_transient(config, drive_a.as_input(), r_a, drive_b.as_input(), r_b, n_steps)
+    return (
+        _prepare_party(t_a, config, params, seed_a, n_steps),
+        _prepare_party(t_b, config, params, seed_b, n_steps),
+    )

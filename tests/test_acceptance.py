@@ -44,7 +44,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from kljnsim.attack import attack_stat
+from kljnsim.attack import window_stats
 from kljnsim.cli import RunConfig, cmd_waveforms, parse_config
 from kljnsim.line import lattice_step_response, run_transient
 from kljnsim.montecarlo import run_experiment, trial_waveforms, validate_steady_state
@@ -126,9 +126,7 @@ def experiments():
     results = {}
     for scenario in ScenarioKind:
         t0 = time.perf_counter()
-        summary = run_experiment(
-            CFG, scenario, TAUS, N_TRIALS, MASTER_SEED, n_cal=N_CAL, keep_decisions=True
-        )
+        summary = run_experiment(CFG, scenario, TAUS, N_TRIALS, MASTER_SEED, n_cal=N_CAL)
         elapsed = time.perf_counter() - t0
         results[scenario] = (summary, elapsed)
         cells = "  ".join(
@@ -312,10 +310,7 @@ def test_criterion_09_exact_property_suite():
     # temperature-scaling decision invariance, gamma in {0.25, 4}
     def decisions(gamma: float):
         cfg = PhysicalConfig(temperature=gamma * CFG.temperature)
-        s = run_experiment(
-            cfg, ScenarioKind.ZERO_START_ONLY, TAUS, 30, MASTER_SEED, n_cal=50,
-            keep_decisions=True,
-        )
+        s = run_experiment(cfg, ScenarioKind.ZERO_START_ONLY, TAUS, 30, MASTER_SEED, n_cal=50)
         return s.decisions_v, s.decisions_i
 
     base_v, base_i = decisions(1.0)
@@ -338,11 +333,9 @@ def test_criterion_09_exact_property_suite():
     rec_b = NoiseRecord(u_b, CFG.dt, CFG.bandwidth, 1.0)
     fwd = run_transient(CFG, (rec_a, start), CFG.r_h, (rec_b, start), CFG.r_l, n)
     rev = run_transient(CFG, (rec_b, start), CFG.r_l, (rec_a, start), CFG.r_h, n)
-    mirror_ok = all(
-        attack_stat(rev, tau).rho_u == -attack_stat(fwd, tau).rho_u
-        and attack_stat(rev, tau).rho_i == -attack_stat(fwd, tau).rho_i
-        for tau in TAUS
-    )
+    tau_steps = [round(tau / CFG.dt) for tau in TAUS]
+    (fwd_u, fwd_i), (rev_u, rev_i) = window_stats(fwd, tau_steps), window_stats(rev, tau_steps)
+    mirror_ok = np.array_equal(rev_u, -fwd_u) and np.array_equal(rev_i, -fwd_i)
     details.append(f"mirror antisymmetry exact: {mirror_ok}")
 
     # linearity (power-of-two exact) and superposition of the line engine
@@ -363,7 +356,7 @@ def test_criterion_09_exact_property_suite():
     fast = SearchParams(record_len=2**18)
     runs = [
         run_experiment(CFG, ScenarioKind.NO_DEFENSE, TAUS, 16, MASTER_SEED, n_cal=50,
-                       params=fast, jobs=jobs, keep_decisions=True)
+                       params=fast, jobs=jobs)
         for jobs in (1, 8)
     ]
     jobs_ok = np.array_equal(runs[0].decisions_v, runs[1].decisions_v) and np.array_equal(

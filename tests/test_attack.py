@@ -1,88 +1,81 @@
-"""Eavesdropper statistics, sign calibration and decision rule."""
+"""Eavesdropper statistic, sign calibration and decision rule."""
 
 import numpy as np
 import pytest
 
-from kljnsim.attack import (
-    AttackStat,
-    DecisionSign,
-    attack_stat,
-    calibrate_sign,
-    decide_pair,
-    eve_decide,
-    mean_square_window,
-    ms_current_imbalance,
-    ms_voltage_imbalance,
-    signs_from_calibration,
-)
+from kljnsim.attack import decide, signs_from_calibration, window_stats
 from kljnsim.line import TrialWaveforms
-from kljnsim.protocol import BitState, PhysicalConfig, ScenarioKind, SearchParams, run_bep_trial
+from kljnsim.montecarlo import run_experiment, trial_waveforms
+from kljnsim.protocol import PhysicalConfig, ScenarioKind, SearchParams
 
 CFG = PhysicalConfig()
 FAST = SearchParams(record_len=2**18)
 TF = CFG.fly_time
+D = CFG.dt_divisor
 
 
-def _wf(v_a, v_b, i_a=None, i_b=None, dt=CFG.dt):
+def _wf(v_a, v_b=None, i_a=None, i_b=None, dt=CFG.dt):
     v_a = np.asarray(v_a, dtype=float)
-    v_b = np.asarray(v_b, dtype=float)
+    v_b = np.zeros_like(v_a) if v_b is None else np.asarray(v_b, dtype=float)
     i_a = v_a / CFG.z0 if i_a is None else np.asarray(i_a, dtype=float)
     i_b = v_b / CFG.z0 if i_b is None else np.asarray(i_b, dtype=float)
     return TrialWaveforms(dt, np.zeros_like(v_a), np.zeros_like(v_b), v_a, v_b, i_a, i_b)
 
 
+def _rho_u(series, steps):
+    """Voltage statistic of one window with a silent Bob end: the mean square."""
+    return window_stats(_wf(series), (steps,))[0][0]
+
+
 class TestMeanSquareWindow:
     def test_constant_series(self):
-        assert mean_square_window(np.full(100, 3.0), 50 * CFG.dt, CFG.dt) == 9.0
+        assert _rho_u(np.full(100, 3.0), 50) == 9.0
 
     def test_alternating_full_window(self):
-        assert mean_square_window(np.array([1.0, -1.0, 1.0, -1.0]), 4 * CFG.dt, CFG.dt) == 1.0
+        assert _rho_u(np.array([1.0, -1.0, 1.0, -1.0]), 4) == 1.0
 
     def test_alternating_zero_and_a(self):
-        series = np.tile([0.0, 2.0], 500)
-        assert mean_square_window(series, 1000 * CFG.dt, CFG.dt) == pytest.approx(2.0)
+        assert _rho_u(np.tile([0.0, 2.0], 500), 1000) == pytest.approx(2.0)
 
     def test_window_is_half_open(self):
-        series = np.array([1.0, 1.0, 100.0])
-        assert mean_square_window(series, 2 * CFG.dt, CFG.dt) == 1.0
+        assert _rho_u(np.array([1.0, 1.0, 100.0]), 2) == 1.0
 
     def test_window_longer_than_series_raises(self):
         with pytest.raises(ValueError):
-            mean_square_window(np.zeros(10), 11 * CFG.dt, CFG.dt)
+            _rho_u(np.zeros(10), 11)
 
     def test_sub_sample_window_raises(self):
         with pytest.raises(ValueError):
-            mean_square_window(np.zeros(10), 0.4 * CFG.dt, CFG.dt)
+            _rho_u(np.zeros(10), 0)
 
 
 class TestImbalances:
     def test_identical_ends_give_zero(self):
         x = np.random.default_rng(1).normal(size=300)
-        wf = _wf(x, x)
-        assert ms_voltage_imbalance(wf, 2 * TF) == 0.0
-        assert ms_current_imbalance(wf, 2 * TF) == 0.0
+        rho_u, rho_i = window_stats(_wf(x, x), (D, 2 * D))
+        assert np.all(rho_u == 0.0) and np.all(rho_i == 0.0)
 
     def test_swapping_ends_negates_exactly(self):
         rng = np.random.default_rng(2)
         va, vb = rng.normal(size=300), rng.normal(size=300)
-        fwd = _wf(va, vb)
-        rev = _wf(vb, va)
-        assert ms_voltage_imbalance(rev, TF) == -ms_voltage_imbalance(fwd, TF)
-        assert ms_current_imbalance(rev, TF) == -ms_current_imbalance(fwd, TF)
+        fwd = window_stats(_wf(va, vb), (D, 2 * D, 3 * D))
+        rev = window_stats(_wf(vb, va), (D, 2 * D, 3 * D))
+        assert np.array_equal(rev[0], -fwd[0])
+        assert np.array_equal(rev[1], -fwd[1])
 
     def test_first_fly_time_sign_agreement_on_trials(self):
         # v = z0*i at both ends before the first arrival, so the two
         # statistics are exact scalar multiples within that window
-        for seed in range(5):
-            wf = run_bep_trial(ScenarioKind.NO_DEFENSE, BitState.HL, CFG, seed,
-                               duration=2 * TF, params=FAST)
-            stat = attack_stat(wf, TF)
-            assert stat.rho_u == pytest.approx(CFG.z0**2 * stat.rho_i, rel=1e-12)
+        for trial in range(5):
+            wf = trial_waveforms(CFG, ScenarioKind.NO_DEFENSE, trial, 1, 2 * TF, FAST)
+            rho_u, rho_i = window_stats(wf, (D,))
+            assert rho_u[0] == pytest.approx(CFG.z0**2 * rho_i[0], rel=1e-12)
 
     def test_attack_stat_window_count(self):
-        wf = run_bep_trial(ScenarioKind.NO_DEFENSE, BitState.HL, CFG, 1,
-                           duration=2 * TF, params=FAST)
-        assert attack_stat(wf, TF).window_samples == CFG.dt_divisor
+        # a one-fly-time window averages exactly dt_divisor samples
+        series = np.concatenate([np.ones(D), np.full(D, 100.0)])
+        assert window_stats(_wf(series), (D,))[0][0] == 1.0
+        assert window_stats(_wf(series), (D + 1,))[0][0] > 1.0
 
 
 class TestSignsFromCalibration:
@@ -102,81 +95,64 @@ class TestSignsFromCalibration:
 
 
 class TestCalibrateSign:
+    """Sign calibration on labeled HL rehearsal trials, inside run_experiment."""
+
+    def _signs(self, master_seed):
+        return run_experiment(CFG, ScenarioKind.NO_DEFENSE, [TF], 1, master_seed, n_cal=50,
+                              params=FAST).signs
+
     def test_rejects_small_n_cal(self):
-        with pytest.raises(ValueError):
-            calibrate_sign(ScenarioKind.NO_DEFENSE, TF, CFG, 10, 1, FAST)
+        with pytest.raises(ValueError, match="n_cal >= 50"):
+            run_experiment(CFG, ScenarioKind.NO_DEFENSE, [TF], 1, 1, n_cal=10, params=FAST)
 
     def test_no_defense_signs_informative_and_equal(self):
-        sign = calibrate_sign(ScenarioKind.NO_DEFENSE, TF, CFG, 50, 1, FAST)
+        (sign,) = self._signs(1)
         assert sign.sign_u != 0
         assert sign.sign_u == sign.sign_i
 
     def test_deterministic(self):
-        a = calibrate_sign(ScenarioKind.NO_DEFENSE, TF, CFG, 50, 2, FAST)
-        b = calibrate_sign(ScenarioKind.NO_DEFENSE, TF, CFG, 50, 2, FAST)
-        assert a == b
+        assert self._signs(2) == self._signs(2)
 
 
 class TestEveDecide:
     def test_positive_rho_positive_sign(self):
-        stat = AttackStat(rho_u=1.0, rho_i=1.0, tau=TF, window_samples=100)
-        sign = DecisionSign(1, 1, ScenarioKind.NO_DEFENSE, TF)
-        rng = np.random.default_rng(0)
-        assert eve_decide(stat, sign, "voltage", rng) == BitState.HL
+        # an informative guess ignores the coin, which here says LH
+        assert decide(1, 1.0, 0.9)
 
     def test_negative_rho_positive_sign(self):
-        stat = AttackStat(rho_u=-1.0, rho_i=-1.0, tau=TF, window_samples=100)
-        sign = DecisionSign(1, 1, ScenarioKind.NO_DEFENSE, TF)
-        rng = np.random.default_rng(0)
-        assert eve_decide(stat, sign, "current", rng) == BitState.LH
-
-    def test_rejects_unknown_channel(self):
-        stat = AttackStat(1.0, 1.0, TF, 100)
-        sign = DecisionSign(1, 1, ScenarioKind.NO_DEFENSE, TF)
-        with pytest.raises(ValueError):
-            eve_decide(stat, sign, "volts", np.random.default_rng(0))
+        assert not decide(1, -1.0, 0.1)
 
     def test_zero_rho_is_fair_coin(self):
-        stat = AttackStat(0.0, 0.0, TF, 100)
-        sign = DecisionSign(1, 1, ScenarioKind.NO_DEFENSE, TF)
-        rng = np.random.default_rng(7)
-        n = 10_000
-        hl = sum(eve_decide(stat, sign, "voltage", rng) == BitState.HL for _ in range(n))
+        coins = np.random.default_rng(7).random(10_000)
+        hl = decide(1, 0.0, coins)
+        assert np.array_equal(hl, coins < 0.5)
         # 0.5 within 3 binomial standard errors
-        assert abs(hl / n - 0.5) < 3 * 0.5 / n**0.5
+        assert abs(hl.mean() - 0.5) < 3 * 0.5 / len(coins) ** 0.5
 
     def test_uninformative_sign_is_fair_coin(self):
-        stat = AttackStat(5.0, 5.0, TF, 100)
-        sign = DecisionSign(0, 0, ScenarioKind.ZERO_START_SLOPE_MATCHED, TF)
-        rng = np.random.default_rng(8)
-        n = 10_000
-        hl = sum(eve_decide(stat, sign, "voltage", rng) == BitState.HL for _ in range(n))
-        assert abs(hl / n - 0.5) < 3 * 0.5 / n**0.5
+        coins = np.random.default_rng(8).random(10_000)
+        hl = decide(0, 5.0, coins)
+        assert np.array_equal(hl, coins < 0.5)
+        assert abs(hl.mean() - 0.5) < 3 * 0.5 / len(coins) ** 0.5
 
 
 class TestDecidePair:
     def test_shares_one_coin_when_undecidable(self):
-        stat = AttackStat(1.0, 1.0, TF, 100)
-        sign = DecisionSign(0, 0, ScenarioKind.ZERO_START_SLOPE_MATCHED, TF)
-        rng = np.random.default_rng(9)
-        for _ in range(200):
-            guess_v, guess_i = decide_pair(stat, sign, rng)
-            assert guess_v == guess_i
+        coins = np.random.default_rng(9).random(200)
+        assert np.array_equal(decide(0, 1.0, coins), decide(0, -3.0, coins))
 
     def test_informative_signs_use_statistics(self):
-        stat = AttackStat(2.0, -3.0, TF, 100)
-        sign = DecisionSign(1, 1, ScenarioKind.NO_DEFENSE, TF)
-        guess_v, guess_i = decide_pair(stat, sign, np.random.default_rng(0))
-        assert guess_v == BitState.HL and guess_i == BitState.LH
+        # one trial, two windows: sign * rho decides each cell on its own
+        guess = decide([1, -1], np.array([[2.0, 2.0]]), np.array([[0.1, 0.1]]))
+        assert guess.tolist() == [[True, False]]
 
     def test_mirrored_trial_flips_decisions(self):
         rng = np.random.default_rng(3)
         va, vb = rng.normal(size=200), rng.normal(size=200)
-        sign = DecisionSign(1, 1, ScenarioKind.NO_DEFENSE, TF)
-        stat = attack_stat(_wf(va, vb), TF)
-        mirrored = attack_stat(_wf(vb, va), TF)
-        assert mirrored.rho_u == -stat.rho_u and mirrored.rho_i == -stat.rho_i
-        g = decide_pair(stat, sign, np.random.default_rng(0))
-        m = decide_pair(mirrored, sign, np.random.default_rng(0))
-        assert {g[0], m[0]} == {BitState.HL, BitState.LH}
-        assert {g[1], m[1]} == {BitState.HL, BitState.LH}
+        steps = (D, 2 * D)
+        rho_u, rho_i = window_stats(_wf(va, vb), steps)
+        mirror_u, mirror_i = window_stats(_wf(vb, va), steps)
+        assert np.array_equal(mirror_u, -rho_u) and np.array_equal(mirror_i, -rho_i)
+        coins = np.zeros(len(steps))
+        assert np.array_equal(decide(1, mirror_u, coins), ~decide(1, rho_u, coins))
+        assert np.array_equal(decide(1, mirror_i, coins), ~decide(1, rho_i, coins))

@@ -1,8 +1,14 @@
 """Config parsing and command-line behavior."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import kljnsim
 from kljnsim.cli import RunConfig, cmd_tables, cmd_waveforms, main, parse_config
 
 FAST_CFG = """
@@ -14,6 +20,43 @@ n_cal = 50
 record_len = 65536
 master_seed = 9
 """
+
+
+# effective_config.txt of the default configuration: key order and formatting
+# are part of the output format
+DEFAULT_TEXT = """\
+r_h = 11000
+r_l = 2000
+z0 = 50
+temperature = 7e+15
+bandwidth = 5000
+t_f = 1e-05
+dt_divisor = 100
+scenarios = 1,2,3,4
+tau_multipliers = 1,2,3,4
+n_trials = 1000
+n_cal = 200
+master_seed = 1
+record_len = 1048576
+zero_value_tol = 0.001
+slope_tol = 0.01
+s3_value_tol = 0.001
+s3_value_fraction = 0.5
+random_state = false
+steady_duration = 6.4
+jobs = 1
+out_dir = out
+"""
+
+# one non-default value per key, written as to_text writes it
+NON_DEFAULT = {
+    "r_h": "12000", "r_l": "3000", "z0": "75", "temperature": "3e+15", "bandwidth": "4000",
+    "t_f": "2e-05", "dt_divisor": "50", "scenarios": "2,4", "tau_multipliers": "1,3",
+    "n_trials": "7", "n_cal": "60", "master_seed": "5", "record_len": "65536",
+    "zero_value_tol": "0.002", "slope_tol": "0.02", "s3_value_tol": "0.003",
+    "s3_value_fraction": "0.25", "random_state": "true", "steady_duration": "1.5",
+    "jobs": "2", "out_dir": "elsewhere",
+}
 
 
 def _write(tmp_path, text):
@@ -68,6 +111,37 @@ class TestParseConfig:
     def test_round_trip_through_to_text(self):
         cfg = parse_config(FAST_CFG)
         assert parse_config(cfg.to_text()) == cfg
+
+    def test_default_text_is_pinned(self):
+        assert RunConfig().to_text() == DEFAULT_TEXT
+
+    @pytest.mark.parametrize("key", list(NON_DEFAULT))
+    def test_each_key_round_trips(self, key):
+        line = f"{key} = {NON_DEFAULT[key]}"
+        cfg = parse_config(line)
+        expected = [line if old.startswith(f"{key} = ") else old
+                    for old in DEFAULT_TEXT.splitlines()]
+        assert cfg.to_text().splitlines() == expected
+        assert parse_config(cfg.to_text()) == cfg
+
+    def test_all_keys_at_once_round_trip(self):
+        text = "".join(f"{key} = {value}\n" for key, value in NON_DEFAULT.items())
+        cfg = parse_config(text)
+        assert cfg.to_text() == text
+        assert cfg.physical.fly_time == 2e-5 and cfg.physical.dt_divisor == 50
+        assert cfg.search.record_len == 65536 and cfg.search.s3_value_fraction == 0.25
+        assert cfg.scenarios == (2, 4) and cfg.random_state and cfg.out_dir == "elsewhere"
+
+    @pytest.mark.parametrize("key, named", [
+        ("r_h", "r_h"), ("r_l", "r_l"), ("z0", "z0"), ("temperature", "temperature"),
+        ("bandwidth", "bandwidth"), ("t_f", "fly_time"), ("zero_value_tol", "zero_value_tol"),
+        ("slope_tol", "slope_tol"), ("s3_value_tol", "s3_value_tol"),
+        ("s3_value_fraction", "s3_value_fraction"), ("steady_duration", "steady_duration"),
+    ])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_rejected(self, key, named, value):
+        with pytest.raises(ValueError, match=f"invalid configuration: {named} must be finite"):
+            parse_config(f"{key} = {value}")
 
     def test_out_dir_key(self, tmp_path):
         cfg = parse_config(f"out_dir = {tmp_path}/from_key\n" + FAST_CFG + "scenarios = 1\n")
@@ -158,6 +232,30 @@ class TestMain:
         rc = main(["validate", "--duration", "0.05", "--out", str(tmp_path)])
         assert rc == 2
         assert "0.2" in capsys.readouterr().err
+
+    def test_validate_infinite_duration_exit_two(self, tmp_path, capsys):
+        rc = main(["validate", "--duration", "inf", "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "steady_duration must be finite" in err and "Traceback" not in err
+
+    def test_unreachable_search_exit_two(self, tmp_path, capsys):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(FAST_CFG + "scenarios = 2\nzero_value_tol = 1e-12\n")
+        rc = main(["tables", "--config", str(cfg_file), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "no start point in 100 records" in capsys.readouterr().err
+
+    def test_module_entry_point_runs_without_warnings(self):
+        # the package must not import its command-line module, or running
+        # that module with -m warns that it is already imported
+        src = str(Path(kljnsim.__file__).resolve().parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "kljnsim.cli", "--help"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "kljn-sim" in proc.stdout
 
     def test_waveforms_command(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"

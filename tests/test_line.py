@@ -22,7 +22,7 @@ from kljnsim.line import (
     reflection_coefficient,
     run_transient,
 )
-from kljnsim.noise import NoiseRecord, StartPoint, synthesize_record
+from kljnsim.noise import BOLTZMANN, NoiseRecord, StartPoint, synthesize_record
 from kljnsim.protocol import BitState, PhysicalConfig, resultant_resistances, steady_state_levels
 
 CFG = PhysicalConfig()
@@ -238,7 +238,7 @@ class TestIdealLineSteadyState:
 
     def _lumped(self):
         _, r_s = resultant_resistances(R_H, R_L)
-        scale = 4.0 * CFG.boltzmann * CFG.temperature * CFG.bandwidth
+        scale = 4.0 * BOLTZMANN * CFG.temperature * CFG.bandwidth
         return steady_state_levels(CFG)[BitState.HL], scale / r_s
 
     def test_zero_length_line_is_lumped(self):

@@ -47,9 +47,9 @@ class TestRunExperiment:
 
     def test_worker_count_does_not_change_results(self):
         one = run_experiment(CFG, ScenarioKind.NO_DEFENSE, TAUS, 16, 31, n_cal=50,
-                             params=FAST, jobs=1, keep_decisions=True)
+                             params=FAST, jobs=1)
         many = run_experiment(CFG, ScenarioKind.NO_DEFENSE, TAUS, 16, 31, n_cal=50,
-                              params=FAST, jobs=3, keep_decisions=True)
+                              params=FAST, jobs=3)
         assert np.array_equal(one.decisions_v, many.decisions_v)
         assert np.array_equal(one.decisions_i, many.decisions_i)
         assert np.array_equal(one.p_ev, many.p_ev)
@@ -63,7 +63,7 @@ class TestRunExperiment:
 
     def test_decision_identity_inside_first_fly_time(self):
         s = run_experiment(CFG, ScenarioKind.ZERO_START_ONLY, TAUS, 20, 13, n_cal=50,
-                           params=FAST, keep_decisions=True)
+                           params=FAST)
         assert np.array_equal(s.decisions_v[:, 0], s.decisions_i[:, 0])
 
     def test_tau_must_be_grid_multiple(self):

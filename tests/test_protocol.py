@@ -1,4 +1,5 @@
-"""Protocol layer: resistor algebra, scenario start rules, trial composition."""
+"""Protocol layer: resistor algebra, scenario start rules, generator drives;
+and the bit-exchange trial that montecarlo composes from them."""
 
 import math
 
@@ -6,8 +7,11 @@ import mpmath
 import numpy as np
 import pytest
 
+from kljnsim import protocol
 from kljnsim.line import run_transient
+from kljnsim.montecarlo import trial_waveforms
 from kljnsim.protocol import (
+    MAX_REGEN,
     BitState,
     PhysicalConfig,
     ScenarioKind,
@@ -15,7 +19,6 @@ from kljnsim.protocol import (
     interpret_bep,
     prepare_generators,
     resultant_resistances,
-    run_bep_trial,
     slope_ratio,
     steady_state_levels,
 )
@@ -42,9 +45,13 @@ class TestPhysicalConfig:
             PhysicalConfig(r_h=2e3, r_l=11e3)
 
     @pytest.mark.parametrize("kw", [{"z0": 0.0}, {"temperature": -1.0}, {"bandwidth": 0.0},
-                                    {"fly_time": 0.0}, {"dt_divisor": 9}, {"dt_divisor": 10.5}])
+                                    {"fly_time": 0.0}, {"dt_divisor": 9}, {"dt_divisor": 10.5},
+                                    {"r_h": math.inf}, {"r_l": math.nan}, {"z0": math.nan},
+                                    {"temperature": math.inf}, {"bandwidth": math.nan},
+                                    {"fly_time": math.inf}, {"dt_divisor": math.inf},
+                                    {"dt_divisor": math.nan}])
     def test_rejects_bad_fields(self, kw):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=next(iter(kw))):
             PhysicalConfig(**kw)
 
     def test_sigma_is_johnson_rms(self):
@@ -209,22 +216,38 @@ class TestPrepareGenerators:
         assert abs(corr) < 0.2
 
 
+    @pytest.mark.parametrize(
+        "scenario", [ScenarioKind.ZERO_START_ONLY, ScenarioKind.ZERO_START_SLOPE_MATCHED]
+    )
+    def test_search_gives_up_after_bounded_records(self, scenario, monkeypatch):
+        # the zero window never loosens, so an unreachable one must end the
+        # search after 10 * MAX_REGEN records instead of regenerating forever
+        calls = []
+        synthesize = protocol.synthesize_record
+        monkeypatch.setattr(protocol, "synthesize_record",
+                            lambda *args: calls.append(1) or synthesize(*args))
+        params = SearchParams(record_len=2**16, zero_value_tol=1e-12)
+        with pytest.raises(ValueError, match=r"no start point in 100 records .* 1e-12 x RMS"):
+            prepare_generators(scenario, BitState.HL, CFG, 19, 400, params)
+        assert len(calls) == 10 * MAX_REGEN
+
+
 class TestRunBepTrial:
+    """One bit-exchange period as run_experiment builds it (trial_waveforms)."""
+
     def test_sample_count(self):
-        wf = run_bep_trial(ScenarioKind.NO_DEFENSE, BitState.HL, CFG, 21,
-                           duration=4 * CFG.fly_time, params=FAST)
+        wf = trial_waveforms(CFG, ScenarioKind.NO_DEFENSE, 0, 21, 4 * CFG.fly_time, FAST)
         assert len(wf) == 400
 
     def test_no_defense_has_arrival_discontinuity(self):
-        wf = run_bep_trial(ScenarioKind.NO_DEFENSE, BitState.HL, CFG, 22,
-                           duration=2 * CFG.fly_time, params=FAST)
+        wf = trial_waveforms(CFG, ScenarioKind.NO_DEFENSE, 0, 22, 2 * CFG.fly_time, FAST)
         steps = np.abs(np.diff(wf.v_a))
         arrival = steps[CFG.dt_divisor - 1]
         assert arrival > 10.0 * np.median(steps)
 
     def test_full_defense_arrival_is_smooth(self):
-        wf = run_bep_trial(ScenarioKind.ZERO_START_SLOPE_MATCHED, BitState.HL, CFG, 23,
-                           duration=2 * CFG.fly_time, params=FAST)
+        wf = trial_waveforms(CFG, ScenarioKind.ZERO_START_SLOPE_MATCHED, 0, 23,
+                             2 * CFG.fly_time, FAST)
         d = CFG.dt_divisor
         steps = np.abs(np.diff(wf.v_a))
         arrival_jumps = steps[d - 2 : d + 1]
@@ -236,10 +259,8 @@ class TestRunBepTrial:
 
     def test_temperature_scaling_is_exact(self):
         hot = PhysicalConfig(temperature=4 * CFG.temperature)
-        wf1 = run_bep_trial(ScenarioKind.ZERO_START_ONLY, BitState.HL, CFG, 24,
-                            duration=2 * CFG.fly_time, params=FAST)
-        wf2 = run_bep_trial(ScenarioKind.ZERO_START_ONLY, BitState.HL, hot, 24,
-                            duration=2 * CFG.fly_time, params=FAST)
+        wf1 = trial_waveforms(CFG, ScenarioKind.ZERO_START_ONLY, 0, 24, 2 * CFG.fly_time, FAST)
+        wf2 = trial_waveforms(hot, ScenarioKind.ZERO_START_ONLY, 0, 24, 2 * CFG.fly_time, FAST)
         assert np.array_equal(wf2.v_a, 2.0 * wf1.v_a)
         assert np.array_equal(wf2.i_b, 2.0 * wf1.i_b)
 
@@ -255,5 +276,4 @@ class TestRunBepTrial:
 
     def test_rejects_sub_step_duration(self):
         with pytest.raises(ValueError):
-            run_bep_trial(ScenarioKind.NO_DEFENSE, BitState.HL, CFG, 26,
-                          duration=0.1 * CFG.dt, params=FAST)
+            trial_waveforms(CFG, ScenarioKind.NO_DEFENSE, 0, 26, 0.1 * CFG.dt, FAST)
