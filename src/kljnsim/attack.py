@@ -24,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .line import TrialWaveforms
-from .protocol import ScenarioKind
 
 __all__ = ["DecisionSign", "window_stats", "signs_from_calibration", "decide"]
 
@@ -50,7 +49,7 @@ def window_stats(waveforms: TrialWaveforms, tau_steps) -> tuple[np.ndarray, np.n
 
 @dataclass(frozen=True)
 class DecisionSign:
-    """Calibrated decision orientation for one (scenario, tau).
+    """Calibrated decision orientation for one observation window.
 
     sign_u / sign_i are +1 or -1 when the labeled-run calibration was
     conclusive and 0 when uninformative (|mean| below two standard errors),
@@ -59,13 +58,9 @@ class DecisionSign:
 
     sign_u: int
     sign_i: int
-    scenario: ScenarioKind
-    tau: float
 
 
-def signs_from_calibration(
-    rho_u: np.ndarray, rho_i: np.ndarray, scenario: ScenarioKind, tau: float
-) -> DecisionSign:
+def signs_from_calibration(rho_u: np.ndarray, rho_i: np.ndarray) -> DecisionSign:
     """Reduce labeled-HL calibration statistics to a DecisionSign."""
     out = []
     for arr in (np.asarray(rho_u, dtype=float), np.asarray(rho_i, dtype=float)):
@@ -74,7 +69,7 @@ def signs_from_calibration(
         mean = float(np.mean(arr))
         se = float(np.std(arr, ddof=1)) / math.sqrt(len(arr))
         out.append(0 if abs(mean) < 2.0 * se else (1 if mean > 0 else -1))
-    return DecisionSign(out[0], out[1], scenario, tau)
+    return DecisionSign(out[0], out[1])
 
 
 def decide(sign, rho, coin) -> np.ndarray:

@@ -214,15 +214,9 @@ def cmd_waveforms(cfg: RunConfig, scenario: int, out: str) -> Path:
 
 def _line_oracle_ok(cfg: RunConfig) -> tuple[bool, str]:
     """Quick engine-vs-oracle cross check on the configured parameters."""
-    from .noise import NoiseRecord, StartPoint
-
     p = cfg.physical
     n = 12 * p.dt_divisor
-    step_drive = np.ones(n)
-    rec = NoiseRecord(np.concatenate(([0.0], step_drive, [0.0])), p.dt, p.bandwidth, 1.0)
-    start = StartPoint(1, 1.0, 0.0, 0.0, float("nan"))
-    zero = NoiseRecord(np.zeros(n + 2), p.dt, p.bandwidth, 0.0)
-    wf = run_transient(p, (rec, start), p.r_h, (zero, start), p.r_l, n)
+    wf = run_transient(p, np.ones(n), p.r_h, np.zeros(n), p.r_l)
     worst = 0.0
     for k in range(n):
         t = k * p.dt

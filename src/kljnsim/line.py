@@ -30,8 +30,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .noise import NoiseRecord, StartPoint
-
 __all__ = [
     "EndState",
     "TransmissionLine",
@@ -180,41 +178,21 @@ def _propagate(
     return v_a, v_b, i_a, i_b
 
 
-def _drive_samples(gen: tuple[NoiseRecord, StartPoint], n_steps: int) -> np.ndarray:
-    record, start = gen
-    if start.index + n_steps > len(record):
-        raise ValueError(
-            f"record exhausted: start index {start.index} + {n_steps} steps "
-            f"exceeds record length {len(record)}"
-        )
-    seg = record.samples[start.index : start.index + n_steps]
-    return -seg if start.negate else seg
-
-
 def run_transient(
-    config,
-    gen_a: tuple[NoiseRecord, StartPoint],
-    r_a: float,
-    gen_b: tuple[NoiseRecord, StartPoint],
-    r_b: float,
-    n_steps: int,
+    config, u_a: np.ndarray, r_a: float, u_b: np.ndarray, r_b: float
 ) -> TrialWaveforms:
-    """Drive a cold line for n_steps with both generator records.
+    """Drive a cold line with the generator voltages ``u_a`` and ``u_b``.
 
-    The cable is idle before step 0; the generators connect abruptly at
-    step 0 with whatever value the record holds at the start point, so a
-    nonzero start value launches a genuine step front.
+    The cable is idle before sample 0; the generators connect abruptly at
+    sample 0 with their first values, so a nonzero first value launches a
+    genuine step front.  Both drives must be nonempty and equally long.
     """
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
-    drive_a = _drive_samples(gen_a, n_steps)
-    drive_b = _drive_samples(gen_b, n_steps)
-    dt = config.dt
-    for gen in (gen_a, gen_b):
-        if abs(gen[0].dt - dt) > 1e-12 * dt:
-            raise ValueError(f"record dt {gen[0].dt} does not match simulation dt {dt}")
-    v_a, v_b, i_a, i_b = _propagate(drive_a, drive_b, r_a, r_b, config.z0, config.dt_divisor)
-    return TrialWaveforms(dt, drive_a, drive_b, v_a, v_b, i_a, i_b)
+    if len(u_a) != len(u_b) or len(u_a) < 1:
+        raise ValueError(
+            f"drives must be nonempty and equally long, got {len(u_a)} and {len(u_b)} samples"
+        )
+    v_a, v_b, i_a, i_b = _propagate(u_a, u_b, r_a, r_b, config.z0, config.dt_divisor)
+    return TrialWaveforms(config.dt, u_a, u_b, v_a, v_b, i_a, i_b)
 
 
 def lattice_step_response(

@@ -52,6 +52,13 @@ __all__ = [
 _PHASE_CAL = 0
 _PHASE_EVAL = 1
 
+# Steady-state validation: relative tolerance of the wire-level checks, the
+# standard-error limit of the zero checks, and the most 2^21-sample segments
+# one state may plan.
+LEVEL_TOLERANCE = 0.02
+SIGMA_LIMIT = 3.0
+MAX_SEGMENTS = 1000
+
 
 def standard_error(p: float, n: int) -> float:
     """Binomial standard error sqrt(p*(1-p)/n) of an estimated probability."""
@@ -88,7 +95,7 @@ def _trial(
         state = BitState.HL if np.random.default_rng(state_seed).random() < 0.5 else BitState.LH
     drive_a, drive_b = prepare_generators(scenario, state, config, drive_seed, n_steps, params)
     r_a, r_b = state.resistors(config)
-    wf = run_transient(config, drive_a.as_input(), r_a, drive_b.as_input(), r_b, n_steps)
+    wf = run_transient(config, drive_a.samples, r_a, drive_b.samples, r_b)
     return wf, state, drive_a.loosened or drive_b.loosened, coin_seed
 
 
@@ -245,10 +252,7 @@ def run_experiment(
                    False, jobs)
     cal_u = np.array([r.rho_u for r in cal])
     cal_i = np.array([r.rho_i for r in cal])
-    signs = [
-        signs_from_calibration(cal_u[:, j], cal_i[:, j], scenario, taus[j])
-        for j in range(len(taus))
-    ]
+    signs = [signs_from_calibration(cal_u[:, j], cal_i[:, j]) for j in range(len(taus))]
 
     ev = _collect(config, scenario, _PHASE_EVAL, n_trials, master_seed, tau_steps, params,
                   random_state, jobs)
@@ -389,36 +393,37 @@ def _steady_segments(
     return np.array(v2), np.array(i2), np.array(p)
 
 
-def validate_steady_state(
-    config: PhysicalConfig,
-    duration: float,
-    seed: int,
-    level_tolerance: float = 0.02,
-    sigma_limit: float = 3.0,
-) -> SteadyStateReport:
+def validate_steady_state(config: PhysicalConfig, duration: float, seed: int) -> SteadyStateReport:
     """Long-run check of the passive-security identities.
 
     Runs ``duration`` seconds of equilibrated HL exchange (and the same of
     LH) in independent cold-start segments, discarding the settle window of
     each.  Compares the end-averaged HL wire mean squares, within
-    ``level_tolerance``, against the ideal-line steady state of Johnson
+    LEVEL_TOLERANCE, against the ideal-line steady state of Johnson
     generators evaluated on the in-band bins of one segment (the lumped
     levels 4kT*Rp*B and 4kT*B/Rs are reported alongside), and the HL-LH
-    difference and the mean power flow against zero, within ``sigma_limit``
-    standard errors.
+    difference and the mean power flow against zero, within SIGMA_LIMIT
+    standard errors.  A duration that plans more than MAX_SEGMENTS segments
+    per state is rejected.
     """
     min_duration = 1000.0 / config.bandwidth
     if duration < min_duration:
         raise ValueError(
             f"duration {duration} s is below the minimum {min_duration} s (1000/B)"
         )
+    seg_samples = 2**21
+    seg_duration = seg_samples * config.dt
+    n_seg = max(1, round(duration / seg_duration))
+    if n_seg > MAX_SEGMENTS:
+        raise ValueError(
+            f"duration {duration} s plans {n_seg} segments per state, above the maximum of "
+            f"{MAX_SEGMENTS}; the largest accepted duration is about "
+            f"{MAX_SEGMENTS * seg_duration:g} s"
+        )
     gamma_prod = reflection_coefficient(config.r_h, config.z0) * reflection_coefficient(
         config.r_l, config.z0
     )
     settle = 2.0 * config.fly_time / max(1e-12, 1.0 - abs(gamma_prod))
-    seg_samples = 2**21
-    seg_duration = seg_samples * config.dt
-    n_seg = max(1, round(duration / seg_duration))
     discard = min(seg_samples // 4, int(round(30.0 * settle / config.dt)))
     chunks_per_seg = 4 if n_seg < 8 else 1
 
@@ -461,6 +466,6 @@ def validate_steady_state(
         hl_lh_current_diff_se=math.hypot(i2_se, i2l_se),
         mean_power=power,
         mean_power_se=power_se,
-        level_tolerance=level_tolerance,
-        sigma_limit=sigma_limit,
+        level_tolerance=LEVEL_TOLERANCE,
+        sigma_limit=SIGMA_LIMIT,
     )

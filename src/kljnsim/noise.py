@@ -75,30 +75,23 @@ class NoiseRecord:
 
     samples     sampled voltage record (V); sample RMS equals target_rms
     dt          sampling interval (s)
-    bandwidth   upper band edge of the flat spectrum (Hz)
     target_rms  generator RMS the record is scaled to (V)
     """
 
     samples: np.ndarray
     dt: float
-    bandwidth: float
     target_rms: float
 
     def __post_init__(self) -> None:
         if len(self.samples) < 2:
             raise ValueError("a noise record needs at least 2 samples")
-        if self.dt <= 0 or self.bandwidth <= 0:
-            raise ValueError("dt and bandwidth must be positive")
+        if self.dt <= 0:
+            raise ValueError("dt must be positive")
         if self.target_rms < 0:
             raise ValueError("target_rms must be non-negative")
 
     def __len__(self) -> int:
         return len(self.samples)
-
-    def write_tsv(self, path) -> None:
-        """Dump as two-column TSV: time in s, voltage in V, 9 significant digits."""
-        t = np.arange(len(self.samples)) * self.dt
-        np.savetxt(path, np.column_stack([t, self.samples]), fmt="%.9g", delimiter="\t")
 
 
 @dataclass(frozen=True)
@@ -162,12 +155,12 @@ def synthesize_record(
         )
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     if sigma == 0.0:
-        return NoiseRecord(np.zeros(n), dt, bandwidth, 0.0)
+        return NoiseRecord(np.zeros(n), dt, 0.0)
     spectrum = np.zeros(n // 2 + 1, dtype=complex)
     spectrum[1 : n_bins + 1] = rng.standard_normal(n_bins) + 1j * rng.standard_normal(n_bins)
     samples = np.fft.irfft(spectrum, n)
     samples *= sigma / math.sqrt(float(np.mean(samples * samples)))
-    return NoiseRecord(samples, dt, bandwidth, sigma)
+    return NoiseRecord(samples, dt, sigma)
 
 
 def estimate_slope(record: NoiseRecord, index: int) -> float:

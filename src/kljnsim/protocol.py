@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,7 +46,6 @@ __all__ = [
     "resultant_resistances",
     "slope_ratio",
     "steady_state_levels",
-    "interpret_bep",
     "prepare_generators",
 ]
 
@@ -150,17 +149,6 @@ def steady_state_levels(config: PhysicalConfig) -> dict[BitState, float]:
     return levels
 
 
-def interpret_bep(state: BitState, hl_bit: int = 1) -> int | None:
-    """Map a joint state to the shared bit; HH and LL are discarded (None)."""
-    if hl_bit not in (0, 1):
-        raise ValueError("hl_bit must be 0 or 1")
-    if state == BitState.HL:
-        return hl_bit
-    if state == BitState.LH:
-        return 1 - hl_bit
-    return None
-
-
 @dataclass(frozen=True)
 class SearchParams:
     """Defense search settings.
@@ -189,15 +177,15 @@ class SearchParams:
 
 @dataclass(frozen=True)
 class GeneratorDrive:
-    """A synthesized record plus the start point it is played back from."""
+    """A synthesized record, the start point it is played back from, and the
+    ``samples`` it plays: n_steps samples from the start point, sign-flipped
+    when ``start.negate`` is set."""
 
     record: NoiseRecord
     start: StartPoint
+    samples: np.ndarray = field(repr=False)
     loosened: bool = False
     attempts: int = 1
-
-    def as_input(self) -> tuple[NoiseRecord, StartPoint]:
-        return self.record, self.start
 
 
 @dataclass(frozen=True)
@@ -270,18 +258,22 @@ def _prepare_party(
             index = int(rng.integers(1, max_start + 1))
             slope = float(estimate_slope(record, index))
             start = StartPoint(index, float(record.samples[index]), slope, math.nan, math.nan)
-            return GeneratorDrive(record, start, False, attempt)
-        start = find_start_point(
-            record,
-            targets.target_value,
-            value_tol,
-            targets.target_slope,
-            slope_tol,
-            allow_negation=True,
-            max_index=max_start,
-        )
-        if start is not None:
-            return GeneratorDrive(record, start, loosened, attempt)
+        else:
+            start = find_start_point(
+                record,
+                targets.target_value,
+                value_tol,
+                targets.target_slope,
+                slope_tol,
+                allow_negation=True,
+                max_index=max_start,
+            )
+            if start is None:
+                continue
+        played = record.samples[start.index : start.index + n_steps]
+        if start.negate:
+            played = -played
+        return GeneratorDrive(record, start, played, loosened, attempt)
     slope = ("any slope" if targets.target_slope is None
              else f"slope {targets.target_slope:.6g} V/s within {slope_tol:g} relative")
     raise ValueError(

@@ -48,7 +48,7 @@ from kljnsim.attack import window_stats
 from kljnsim.cli import RunConfig, cmd_waveforms, parse_config
 from kljnsim.line import lattice_step_response, run_transient
 from kljnsim.montecarlo import run_experiment, trial_waveforms, validate_steady_state
-from kljnsim.noise import NoiseRecord, StartPoint, synthesize_record
+from kljnsim.noise import synthesize_record
 from kljnsim.protocol import BitState, PhysicalConfig, ScenarioKind, SearchParams
 
 CFG = PhysicalConfig()
@@ -150,10 +150,7 @@ def steady_report():
 def test_criterion_01_oracle_equivalence():
     n = 16 * D
     t0 = time.perf_counter()
-    step = NoiseRecord(np.ones(n + 1), CFG.dt, CFG.bandwidth, 1.0)
-    zero = NoiseRecord(np.zeros(n + 1), CFG.dt, CFG.bandwidth, 0.0)
-    start = StartPoint(0, 1.0, 0.0, 0.0, math.nan)
-    wf = run_transient(CFG, (step, start), CFG.r_h, (zero, start), CFG.r_l, n)
+    wf = run_transient(CFG, np.ones(n), CFG.r_h, np.zeros(n), CFG.r_l)
     worst = 0.0
     for k in range(n):
         t = k * CFG.dt
@@ -327,27 +324,21 @@ def test_criterion_09_exact_property_suite():
     # mirror antisymmetry of the decision statistics
     rng = np.random.default_rng(77)
     n = 4 * D
-    u_a, u_b = rng.normal(size=n + 1), rng.normal(size=n + 1)
-    start = StartPoint(0, 0.0, 0.0, 0.0, math.nan)
-    rec_a = NoiseRecord(u_a, CFG.dt, CFG.bandwidth, 1.0)
-    rec_b = NoiseRecord(u_b, CFG.dt, CFG.bandwidth, 1.0)
-    fwd = run_transient(CFG, (rec_a, start), CFG.r_h, (rec_b, start), CFG.r_l, n)
-    rev = run_transient(CFG, (rec_b, start), CFG.r_l, (rec_a, start), CFG.r_h, n)
+    u_a, u_b = rng.normal(size=n), rng.normal(size=n)
+    fwd = run_transient(CFG, u_a, CFG.r_h, u_b, CFG.r_l)
+    rev = run_transient(CFG, u_b, CFG.r_l, u_a, CFG.r_h)
     tau_steps = [round(tau / CFG.dt) for tau in TAUS]
     (fwd_u, fwd_i), (rev_u, rev_i) = window_stats(fwd, tau_steps), window_stats(rev, tau_steps)
     mirror_ok = np.array_equal(rev_u, -fwd_u) and np.array_equal(rev_i, -fwd_i)
     details.append(f"mirror antisymmetry exact: {mirror_ok}")
 
     # linearity (power-of-two exact) and superposition of the line engine
-    half_a = NoiseRecord(0.5 * u_a, CFG.dt, CFG.bandwidth, 1.0)
-    half_b = NoiseRecord(0.5 * u_b, CFG.dt, CFG.bandwidth, 1.0)
-    halved = run_transient(CFG, (half_a, start), CFG.r_h, (half_b, start), CFG.r_l, n)
+    halved = run_transient(CFG, 0.5 * u_a, CFG.r_h, 0.5 * u_b, CFG.r_l)
     lin_ok = np.array_equal(fwd.v_a, 2.0 * halved.v_a) and np.array_equal(
         fwd.i_b, 2.0 * halved.i_b
     )
-    zero = NoiseRecord(np.zeros(n + 1), CFG.dt, CFG.bandwidth, 0.0)
-    only_a = run_transient(CFG, (rec_a, start), CFG.r_h, (zero, start), CFG.r_l, n)
-    only_b = run_transient(CFG, (zero, start), CFG.r_h, (rec_b, start), CFG.r_l, n)
+    only_a = run_transient(CFG, u_a, CFG.r_h, np.zeros(n), CFG.r_l)
+    only_b = run_transient(CFG, np.zeros(n), CFG.r_h, u_b, CFG.r_l)
     sup_err = np.max(np.abs(fwd.v_a - (only_a.v_a + only_b.v_a)))
     sup_ok = sup_err < 1e-12
     details.append(f"linearity exact: {lin_ok}, superposition err {sup_err:.1e}")

@@ -81,17 +81,17 @@ class TestImbalances:
 class TestSignsFromCalibration:
     def test_strong_mean_is_informative(self):
         rho = np.full(100, 2.0) + np.random.default_rng(0).normal(0, 0.1, 100)
-        sign = signs_from_calibration(rho, -rho, ScenarioKind.NO_DEFENSE, TF)
+        sign = signs_from_calibration(rho, -rho)
         assert sign.sign_u == 1 and sign.sign_i == -1
 
     def test_near_zero_mean_is_uninformative(self):
         rho = np.random.default_rng(1).normal(0, 1.0, 400)
-        sign = signs_from_calibration(rho, rho, ScenarioKind.ZERO_START_SLOPE_MATCHED, TF)
+        sign = signs_from_calibration(rho, rho)
         assert sign.sign_u == 0 and sign.sign_i == 0
 
     def test_needs_two_trials(self):
         with pytest.raises(ValueError):
-            signs_from_calibration(np.array([1.0]), np.array([1.0]), ScenarioKind.NO_DEFENSE, TF)
+            signs_from_calibration(np.array([1.0]), np.array([1.0]))
 
 
 class TestCalibrateSign:

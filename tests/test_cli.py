@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -238,6 +239,16 @@ class TestMain:
         err = capsys.readouterr().err
         assert rc == 2
         assert "steady_duration must be finite" in err and "Traceback" not in err
+
+    def test_validate_huge_duration_exit_two_at_once(self, tmp_path, capsys):
+        # 1e9 s would plan 4.77e9 segments of 2^21 samples per state
+        t0 = time.perf_counter()
+        rc = main(["validate", "--duration", "1e9", "--out", str(tmp_path)])
+        elapsed = time.perf_counter() - t0
+        out, err = capsys.readouterr()
+        assert rc == 2 and elapsed < 1.0 and out == ""
+        assert "duration 1000000000.0 s plans 4768371582 segments" in err
+        assert "maximum of 1000; the largest accepted duration is about 209.715 s" in err
 
     def test_unreachable_search_exit_two(self, tmp_path, capsys):
         cfg_file = tmp_path / "run.cfg"

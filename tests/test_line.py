@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kljnsim.line import (
     EndState,
@@ -22,18 +24,12 @@ from kljnsim.line import (
     reflection_coefficient,
     run_transient,
 )
-from kljnsim.noise import BOLTZMANN, NoiseRecord, StartPoint, synthesize_record
+from kljnsim.noise import BOLTZMANN
 from kljnsim.protocol import BitState, PhysicalConfig, resultant_resistances, steady_state_levels
 
 CFG = PhysicalConfig()
 R_H, R_L, Z0, TF, DT = CFG.r_h, CFG.r_l, CFG.z0, CFG.fly_time, CFG.dt
 D = CFG.dt_divisor
-
-
-def _drive(samples):
-    """Wrap raw samples so run_transient can play them from index 0."""
-    rec = NoiseRecord(np.concatenate([samples, [0.0]]), DT, CFG.bandwidth, 1.0)
-    return rec, StartPoint(0, float(samples[0]), 0.0, 0.0, math.nan)
 
 
 class TestReflectionCoefficient:
@@ -142,13 +138,13 @@ class TestLatticeStepResponse:
 class TestRunTransient:
     def test_zero_drives_zero_everywhere(self):
         n = 3 * D
-        wf = run_transient(CFG, _drive(np.zeros(n)), R_H, _drive(np.zeros(n)), R_L, n)
+        wf = run_transient(CFG, np.zeros(n), R_H, np.zeros(n), R_L)
         for arr in (wf.v_a, wf.v_b, wf.i_a, wf.i_b):
             assert not arr.any()
 
     def test_step_matches_bounce_oracle(self):
         n = 16 * D
-        wf = run_transient(CFG, _drive(np.ones(n)), R_H, _drive(np.zeros(n)), R_L, n)
+        wf = run_transient(CFG, np.ones(n), R_H, np.zeros(n), R_L)
         worst = 0.0
         for k in range(n):
             t = k * DT
@@ -164,9 +160,9 @@ class TestRunTransient:
         n = 8 * D
         rng = np.random.default_rng(17)
         u_a, u_b = rng.normal(size=n), rng.normal(size=n)
-        joint = run_transient(CFG, _drive(u_a), R_H, _drive(u_b), R_L, n)
-        only_a = run_transient(CFG, _drive(u_a), R_H, _drive(np.zeros(n)), R_L, n)
-        only_b = run_transient(CFG, _drive(np.zeros(n)), R_H, _drive(u_b), R_L, n)
+        joint = run_transient(CFG, u_a, R_H, u_b, R_L)
+        only_a = run_transient(CFG, u_a, R_H, np.zeros(n), R_L)
+        only_b = run_transient(CFG, np.zeros(n), R_H, u_b, R_L)
         np.testing.assert_allclose(joint.v_a, only_a.v_a + only_b.v_a, rtol=0, atol=1e-13)
         np.testing.assert_allclose(joint.i_b, only_a.i_b + only_b.i_b, rtol=0, atol=1e-16)
 
@@ -174,8 +170,8 @@ class TestRunTransient:
         n = 6 * D
         rng = np.random.default_rng(23)
         u_a, u_b = rng.normal(size=n), rng.normal(size=n)
-        base = run_transient(CFG, _drive(u_a), R_H, _drive(u_b), R_L, n)
-        scaled = run_transient(CFG, _drive(4.0 * u_a), R_H, _drive(4.0 * u_b), R_L, n)
+        base = run_transient(CFG, u_a, R_H, u_b, R_L)
+        scaled = run_transient(CFG, 4.0 * u_a, R_H, 4.0 * u_b, R_L)
         assert np.array_equal(scaled.v_a, 4.0 * base.v_a)
         assert np.array_equal(scaled.i_b, 4.0 * base.i_b)
 
@@ -183,8 +179,8 @@ class TestRunTransient:
         n = 8 * D
         rng = np.random.default_rng(31)
         u_a, u_b = rng.normal(size=n), rng.normal(size=n)
-        fwd = run_transient(CFG, _drive(u_a), R_H, _drive(u_b), R_L, n)
-        rev = run_transient(CFG, _drive(u_b), R_L, _drive(u_a), R_H, n)
+        fwd = run_transient(CFG, u_a, R_H, u_b, R_L)
+        rev = run_transient(CFG, u_b, R_L, u_a, R_H)
         assert np.array_equal(fwd.v_a, rev.v_b)
         assert np.array_equal(fwd.v_b, rev.v_a)
         assert np.array_equal(fwd.i_a, rev.i_b)
@@ -194,15 +190,14 @@ class TestRunTransient:
         n = 3 * D
         u_a = np.zeros(n)
         u_a[0] = 1.0
-        wf = run_transient(CFG, _drive(u_a), R_H, _drive(np.zeros(n)), R_L, n)
+        wf = run_transient(CFG, u_a, R_H, np.zeros(n), R_L)
         assert not wf.v_b[:D].any()
         assert wf.v_b[D] != 0.0
 
     def test_first_fly_time_identity_bitwise(self):
         n = 2 * D
         rng = np.random.default_rng(41)
-        wf = run_transient(CFG, _drive(rng.normal(size=n)), R_H,
-                           _drive(rng.normal(size=n)), R_L, n)
+        wf = run_transient(CFG, rng.normal(size=n), R_H, rng.normal(size=n), R_L)
         assert np.array_equal(wf.v_a[:D], Z0 * wf.i_a[:D])
         assert np.array_equal(wf.v_b[:D], Z0 * wf.i_b[:D])
 
@@ -216,19 +211,71 @@ class TestRunTransient:
             ea, eb = line.step(u_a[k], R_H, u_b[k], R_L)
             assert (ea.v, ea.i, eb.v, eb.i) == (v_a[k], i_a[k], v_b[k], i_b[k])
 
-    def test_record_exhaustion_raises(self):
-        rec = NoiseRecord(np.zeros(100), DT, CFG.bandwidth, 1.0)
-        start = StartPoint(50, 0.0, 0.0, 0.0, math.nan)
-        with pytest.raises(ValueError, match="exhausted"):
-            run_transient(CFG, (rec, start), R_H, (rec, start), R_L, 60)
+    def test_drive_length_mismatch_raises(self):
+        with pytest.raises(ValueError, match="equally long"):
+            run_transient(CFG, np.zeros(60), R_H, np.zeros(59), R_L)
+        with pytest.raises(ValueError, match="nonempty"):
+            run_transient(CFG, np.zeros(0), R_H, np.zeros(0), R_L)
 
-    def test_negated_start_flips_drive(self):
-        n = 2 * D
-        rec = synthesize_record(9, 2**15, DT, CFG.bandwidth, 1.0)
-        start = StartPoint(10, -rec.samples[10], 0.0, 0.0, math.nan, negate=True)
-        plain = StartPoint(10, rec.samples[10], 0.0, 0.0, math.nan)
-        wf_neg = run_transient(CFG, (rec, start), R_H, (rec, plain), R_L, n)
-        assert np.array_equal(wf_neg.ugen_a, -rec.samples[10 : 10 + n])
+
+EXAMPLES = settings(max_examples=30, deadline=None)
+
+
+@st.composite
+def _lines(draw):
+    """A terminated line and two random drives whose length need not be a
+    multiple of the delay."""
+    r_l = draw(st.floats(1.0, 1e5))
+    r_h = draw(st.floats(r_l, 2e5, exclude_min=True))
+    config = PhysicalConfig(r_h=r_h, r_l=r_l, z0=draw(st.floats(1.0, 1e3)),
+                            dt_divisor=draw(st.integers(10, 60)))
+    n = draw(st.integers(1, 5 * config.dt_divisor))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return config, rng.normal(size=n), rng.normal(size=n)
+
+
+class TestEngineProperties:
+    """Exact identities of the array engine on randomly drawn lines."""
+
+    @EXAMPLES
+    @given(_lines())
+    def test_blocked_path_equals_scalar_stepping_bitwise(self, case):
+        config, u_a, u_b = case
+        v_a, v_b, i_a, i_b = _propagate(
+            u_a, u_b, config.r_h, config.r_l, config.z0, config.dt_divisor
+        )
+        line = TransmissionLine(config.z0, config.fly_time, config.dt)
+        for k in range(len(u_a)):
+            ea, eb = line.step(u_a[k], config.r_h, u_b[k], config.r_l)
+            assert (ea.v, ea.i, eb.v, eb.i) == (v_a[k], i_a[k], v_b[k], i_b[k])
+
+    @EXAMPLES
+    @given(_lines())
+    def test_swapping_the_ends_swaps_the_series(self, case):
+        config, u_a, u_b = case
+        fwd = run_transient(config, u_a, config.r_h, u_b, config.r_l)
+        rev = run_transient(config, u_b, config.r_l, u_a, config.r_h)
+        for a, b in ((fwd.v_a, rev.v_b), (fwd.v_b, rev.v_a), (fwd.i_a, rev.i_b),
+                     (fwd.i_b, rev.i_a)):
+            assert np.array_equal(a, b)
+
+    @EXAMPLES
+    @given(_lines())
+    def test_doubling_the_drives_doubles_every_output(self, case):
+        config, u_a, u_b = case
+        base = run_transient(config, u_a, config.r_h, u_b, config.r_l)
+        doubled = run_transient(config, 2.0 * u_a, config.r_h, 2.0 * u_b, config.r_l)
+        for name in ("v_a", "v_b", "i_a", "i_b"):
+            assert np.array_equal(getattr(doubled, name), 2.0 * getattr(base, name))
+
+    @EXAMPLES
+    @given(_lines())
+    def test_first_fly_time_identity_bitwise(self, case):
+        config, u_a, u_b = case
+        wf = run_transient(config, u_a, config.r_h, u_b, config.r_l)
+        first = slice(0, config.dt_divisor)
+        assert np.array_equal(wf.v_a[first], config.z0 * wf.i_a[first])
+        assert np.array_equal(wf.v_b[first], config.z0 * wf.i_b[first])
 
 
 class TestIdealLineSteadyState:
@@ -297,8 +344,7 @@ class TestTrialWaveformsTsv:
     def test_dump_format(self, tmp_path):
         n = D
         rng = np.random.default_rng(3)
-        wf = run_transient(CFG, _drive(rng.normal(size=n)), R_H,
-                           _drive(rng.normal(size=n)), R_L, n)
+        wf = run_transient(CFG, rng.normal(size=n), R_H, rng.normal(size=n), R_L)
         path = tmp_path / "wf.tsv"
         wf.write_tsv(path)
         lines = path.read_text().splitlines()

@@ -144,19 +144,19 @@ class TestSynthesizeRecord:
 
 class TestEstimateSlope:
     def test_constant_record(self):
-        rec = NoiseRecord(np.full(64, 2.5), DT, B, 1.0)
+        rec = NoiseRecord(np.full(64, 2.5), DT, 1.0)
         assert estimate_slope(rec, 10) == 0.0
 
     def test_linear_ramp_exact(self):
         a = 3.7e4
         t = np.arange(256) * DT
-        rec = NoiseRecord(a * t, DT, B, 1.0)
+        rec = NoiseRecord(a * t, DT, 1.0)
         for idx in (1, 100, 254):
             assert estimate_slope(rec, idx) == pytest.approx(a, rel=1e-12)
 
     @pytest.mark.parametrize("idx", [0, 255, 400])
     def test_rejects_out_of_range(self, idx):
-        rec = NoiseRecord(np.zeros(256), DT, B, 1.0)
+        rec = NoiseRecord(np.zeros(256), DT, 1.0)
         with pytest.raises(IndexError):
             estimate_slope(rec, idx)
 
@@ -186,7 +186,7 @@ class TestFindStartPoint:
     def test_pure_ramp_matches_near_origin(self):
         a = 2.0e4
         t = np.arange(4096) * DT
-        rec = NoiseRecord(a * (t - 5 * DT), DT, B, 1.0)
+        rec = NoiseRecord(a * (t - 5 * DT), DT, 1.0)
         start = find_start_point(rec, 0.0, 2 * a * DT, a, 0.01)
         assert start.index == pytest.approx(5, abs=2)
         assert start.slope == pytest.approx(a, rel=1e-9)
@@ -217,7 +217,7 @@ class TestFindStartPoint:
 
     def test_negation_finds_mirrored_target(self):
         ramp = np.linspace(-1.0, -2.0, 128)  # strictly negative, slope < 0
-        rec = NoiseRecord(ramp, DT, B, 1.0)
+        rec = NoiseRecord(ramp, DT, 1.0)
         step = ramp[1] - ramp[0]
         target_v, target_m = 1.5, -step / DT
         assert find_start_point(rec, target_v, 0.01, target_m, 0.05) is None
@@ -257,20 +257,10 @@ def test_boltzmann_constant_is_exact_si():
     assert BOLTZMANN == 1.380649e-23
 
 
-def test_record_tsv_dump(tmp_path):
-    rec = synthesize_record(4, 2**15, DT, B, 1.0)
-    path = tmp_path / "record.tsv"
-    rec.write_tsv(path)
-    back = np.loadtxt(path)
-    assert back.shape == (2**15, 2)
-    np.testing.assert_allclose(back[:, 1], rec.samples, rtol=1e-8)
-    assert back[1, 0] == pytest.approx(DT)
-
-
 def test_record_validation():
     with pytest.raises(ValueError):
-        NoiseRecord(np.zeros(1), DT, B, 1.0)
+        NoiseRecord(np.zeros(1), DT, 1.0)
     with pytest.raises(ValueError):
-        NoiseRecord(np.zeros(16), -DT, B, 1.0)
+        NoiseRecord(np.zeros(16), -DT, 1.0)
     with pytest.raises(ValueError):
-        NoiseRecord(np.zeros(16), DT, B, -1.0)
+        NoiseRecord(np.zeros(16), DT, -1.0)

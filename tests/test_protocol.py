@@ -16,7 +16,6 @@ from kljnsim.protocol import (
     PhysicalConfig,
     ScenarioKind,
     SearchParams,
-    interpret_bep,
     prepare_generators,
     resultant_resistances,
     slope_ratio,
@@ -112,21 +111,6 @@ class TestSteadyStateLevels:
         assert levels[BitState.LL] < levels[BitState.HL] < levels[BitState.HH]
 
 
-class TestInterpretBep:
-    def test_discards_same_resistor_states(self):
-        assert interpret_bep(BitState.HH) is None
-        assert interpret_bep(BitState.LL) is None
-
-    def test_mapping(self):
-        assert interpret_bep(BitState.HL, hl_bit=1) == 1
-        assert interpret_bep(BitState.LH, hl_bit=1) == 0
-        assert interpret_bep(BitState.HL, hl_bit=0) == 0
-
-    def test_rejects_bad_bit(self):
-        with pytest.raises(ValueError):
-            interpret_bep(BitState.HL, hl_bit=2)
-
-
 class TestBitState:
     def test_security_flags(self):
         assert BitState.HL.is_secure and BitState.LH.is_secure
@@ -215,6 +199,28 @@ class TestPrepareGenerators:
         corr = np.corrcoef(a.record.samples, b.record.samples)[0, 1]
         assert abs(corr) < 0.2
 
+    def test_drive_plays_its_record_from_the_start_point(self):
+        # at seed 27 scenario 4 enters one record sign-flipped and the other not
+        n = 400
+        drives = prepare_generators(
+            ScenarioKind.ZERO_START_SLOPE_MATCHED, BitState.HL, CFG, 27, n, FAST
+        )
+        assert {drive.start.negate for drive in drives} == {True, False}
+        for drive in drives:
+            played = drive.record.samples[drive.start.index : drive.start.index + n]
+            assert np.array_equal(drive.samples, -played if drive.start.negate else played)
+
+    def test_rejects_records_too_short_for_the_transient(self):
+        n = 2**16
+        params = SearchParams(record_len=n)
+        for n_steps in (n - 1, n):
+            with pytest.raises(ValueError, match="too short"):
+                prepare_generators(ScenarioKind.NO_DEFENSE, BitState.HL, CFG, 20, n_steps, params)
+        # the longest transient that fits starts at the first interior sample
+        drive_a, _ = prepare_generators(
+            ScenarioKind.NO_DEFENSE, BitState.HL, CFG, 20, n - 2, params
+        )
+        assert drive_a.start.index == 1 and len(drive_a.samples) == n - 2
 
     @pytest.mark.parametrize(
         "scenario", [ScenarioKind.ZERO_START_ONLY, ScenarioKind.ZERO_START_SLOPE_MATCHED]
@@ -269,8 +275,8 @@ class TestRunBepTrial:
         drive_a, drive_b = prepare_generators(
             ScenarioKind.NO_DEFENSE, BitState.HL, CFG, 25, 200, FAST
         )
-        fwd = run_transient(CFG, drive_a.as_input(), CFG.r_h, drive_b.as_input(), CFG.r_l, 200)
-        rev = run_transient(CFG, drive_b.as_input(), CFG.r_l, drive_a.as_input(), CFG.r_h, 200)
+        fwd = run_transient(CFG, drive_a.samples, CFG.r_h, drive_b.samples, CFG.r_l)
+        rev = run_transient(CFG, drive_b.samples, CFG.r_l, drive_a.samples, CFG.r_h)
         assert np.array_equal(fwd.v_a, rev.v_b)
         assert np.array_equal(fwd.i_a, rev.i_b)
 
