@@ -161,16 +161,16 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     return replace(cfg, **overrides)
 
 
-def _prepare_out_dir(cfg: RunConfig, out: str) -> Path:
-    out_dir = Path(out)
+def _prepare_out_dir(cfg: RunConfig) -> Path:
+    out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "effective_config.txt").write_text(cfg.to_text())
     return out_dir
 
 
-def cmd_tables(cfg: RunConfig, out: str) -> list[Path]:
+def cmd_tables(cfg: RunConfig) -> list[Path]:
     """Run the configured scenarios and write one success-probability CSV each."""
-    out_dir = _prepare_out_dir(cfg, out)
+    out_dir = _prepare_out_dir(cfg)
     paths = []
     for scenario in cfg.scenarios:
         t0 = time.perf_counter()
@@ -195,9 +195,9 @@ def cmd_tables(cfg: RunConfig, out: str) -> list[Path]:
     return paths
 
 
-def cmd_waveforms(cfg: RunConfig, scenario: int, out: str) -> Path:
+def cmd_waveforms(cfg: RunConfig, scenario: int) -> Path:
     """Dump the cable waveforms of one two-fly-time trial as TSV."""
-    out_dir = _prepare_out_dir(cfg, out)
+    out_dir = _prepare_out_dir(cfg)
     wf = trial_waveforms(
         cfg.physical,
         ScenarioKind(scenario),
@@ -233,7 +233,7 @@ def _line_oracle_ok(cfg: RunConfig) -> tuple[bool, str]:
     )
 
 
-def cmd_validate(cfg: RunConfig, out: str | None = None) -> tuple[bool, str]:
+def cmd_validate(cfg: RunConfig) -> tuple[bool, str]:
     """Run the steady-state identity checks plus the line-engine oracle check."""
     oracle_ok, oracle_line = _line_oracle_ok(cfg)
     report = validate_steady_state(cfg.physical, cfg.steady_duration, cfg.master_seed)
@@ -243,9 +243,7 @@ def cmd_validate(cfg: RunConfig, out: str | None = None) -> tuple[bool, str]:
         report.render(),
         f"overall: {'pass' if oracle_ok and report.all_ok else 'FAIL'}",
     ])
-    if out is not None:
-        out_dir = _prepare_out_dir(cfg, out)
-        (out_dir / "validation.txt").write_text(text + "\n")
+    (_prepare_out_dir(cfg) / "validation.txt").write_text(text + "\n")
     return oracle_ok and report.all_ok, text
 
 
@@ -286,12 +284,12 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "tables":
-            cmd_tables(cfg, cfg.out_dir)
+            cmd_tables(cfg)
             return 0
         if args.command == "waveforms":
-            cmd_waveforms(cfg, args.scenario, cfg.out_dir)
+            cmd_waveforms(cfg, args.scenario)
             return 0
-        ok, text = cmd_validate(cfg, cfg.out_dir)
+        ok, text = cmd_validate(cfg)
     except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

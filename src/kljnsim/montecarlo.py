@@ -16,6 +16,7 @@ individually valid.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -145,6 +146,9 @@ def _collect(
     random_state: bool,
     jobs: int,
 ) -> list[_TrialResult]:
+    """Run trials 0 .. n-1 in process, or in chunks on at most ``jobs``
+    workers, no more than there are chunks or CPUs."""
+    jobs = min(jobs, os.cpu_count() or 1)
     if jobs <= 1 or n < 2 * jobs:
         return _run_chunk(
             (config, scenario, phase, 0, n, master_seed, tau_steps, params, random_state)
@@ -155,7 +159,7 @@ def _collect(
          random_state)
         for lo in range(0, n, chunk)
     ]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
         parts = list(pool.map(_run_chunk, tasks))
     return [r for part in parts for r in part]
 
@@ -308,27 +312,25 @@ class SteadyStateReport:
     hl_lh_current_diff_se: float
     mean_power: float
     mean_power_se: float
-    level_tolerance: float
-    sigma_limit: float
 
     @property
     def voltage_ok(self) -> bool:
-        return abs(self.ms_voltage / self.ms_voltage_theory - 1.0) <= self.level_tolerance
+        return abs(self.ms_voltage / self.ms_voltage_theory - 1.0) <= LEVEL_TOLERANCE
 
     @property
     def current_ok(self) -> bool:
-        return abs(self.ms_current / self.ms_current_theory - 1.0) <= self.level_tolerance
+        return abs(self.ms_current / self.ms_current_theory - 1.0) <= LEVEL_TOLERANCE
 
     @property
     def hl_lh_ok(self) -> bool:
         return (
-            abs(self.hl_lh_voltage_diff) <= self.sigma_limit * self.hl_lh_voltage_diff_se
-            and abs(self.hl_lh_current_diff) <= self.sigma_limit * self.hl_lh_current_diff_se
+            abs(self.hl_lh_voltage_diff) <= SIGMA_LIMIT * self.hl_lh_voltage_diff_se
+            and abs(self.hl_lh_current_diff) <= SIGMA_LIMIT * self.hl_lh_current_diff_se
         )
 
     @property
     def power_ok(self) -> bool:
-        return abs(self.mean_power) <= self.sigma_limit * self.mean_power_se
+        return abs(self.mean_power) <= SIGMA_LIMIT * self.mean_power_se
 
     @property
     def all_ok(self) -> bool:
@@ -344,11 +346,11 @@ class SteadyStateReport:
             f"steady state over {self.duration:g} s per state ({self.n_segments} segments)",
             f"  wire <v^2>: {self.ms_voltage:.6e} +- {self.ms_voltage_se:.2e} V^2 | "
             f"ideal line = {self.ms_voltage_theory:.6e} V^2 | "
-            f"rel dev {rel_v:+.4f} (tol {self.level_tolerance:.2%}) [{flag(self.voltage_ok)}]",
+            f"rel dev {rel_v:+.4f} (tol {LEVEL_TOLERANCE:.2%}) [{flag(self.voltage_ok)}]",
             f"    (lumped 4kT*Rp*B = {self.ms_voltage_lumped:.6e} V^2, for information)",
             f"  wire <i^2>: {self.ms_current:.6e} +- {self.ms_current_se:.2e} A^2 | "
             f"ideal line = {self.ms_current_theory:.6e} A^2 | "
-            f"rel dev {rel_i:+.4f} (tol {self.level_tolerance:.2%}) [{flag(self.current_ok)}]",
+            f"rel dev {rel_i:+.4f} (tol {LEVEL_TOLERANCE:.2%}) [{flag(self.current_ok)}]",
             f"    (lumped 4kT*B/Rs = {self.ms_current_lumped:.6e} A^2, for information)",
             f"  HL-LH <v^2> diff: {self.hl_lh_voltage_diff:+.3e} "
             f"({abs(self.hl_lh_voltage_diff) / self.hl_lh_voltage_diff_se:.2f} se), "
@@ -406,6 +408,8 @@ def validate_steady_state(config: PhysicalConfig, duration: float, seed: int) ->
     standard errors.  A duration that plans more than MAX_SEGMENTS segments
     per state is rejected.
     """
+    if not math.isfinite(duration):
+        raise ValueError(f"duration must be finite, got {duration} s")
     min_duration = 1000.0 / config.bandwidth
     if duration < min_duration:
         raise ValueError(
@@ -466,6 +470,4 @@ def validate_steady_state(config: PhysicalConfig, duration: float, seed: int) ->
         hl_lh_current_diff_se=math.hypot(i2_se, i2l_se),
         mean_power=power,
         mean_power_se=power_se,
-        level_tolerance=LEVEL_TOLERANCE,
-        sigma_limit=SIGMA_LIMIT,
     )

@@ -15,8 +15,8 @@ assume both parties know the generator amplitudes exactly.
 
 The start-point search implements the defense: scan a pre-generated record
 for the earliest sample matching a target value and target slope within
-relative tolerances, optionally also accepting the sign-flipped target pair
-(negating a zero-mean Gaussian record yields an equally valid sample path).
+relative tolerances, or the sign-flipped target pair (negating a zero-mean
+Gaussian record yields an equally valid sample path).
 """
 
 from __future__ import annotations
@@ -163,9 +163,10 @@ def synthesize_record(
     return NoiseRecord(samples, dt, sigma)
 
 
-def estimate_slope(record: NoiseRecord, index: int) -> float:
-    """Central-difference derivative estimate at an interior sample."""
-    if not 1 <= index <= len(record) - 2:
+def estimate_slope(record: NoiseRecord, index: int | np.ndarray) -> float | np.ndarray:
+    """Central-difference derivative estimate at an interior sample, or at
+    each of an array of interior samples."""
+    if not (1 <= np.min(index) and np.max(index) <= len(record) - 2):
         raise IndexError(
             f"index {index} out of range for central difference on "
             f"{len(record)} samples"
@@ -174,50 +175,25 @@ def estimate_slope(record: NoiseRecord, index: int) -> float:
     return (s[index + 1] - s[index - 1]) / (2.0 * record.dt)
 
 
-def _first_match(
-    samples: np.ndarray,
-    dt: float,
-    lo: int,
-    hi: int,
-    target_value: float,
-    value_window: float,
-    target_slope: float | None,
-    slope_tol_rel: float,
-) -> int | None:
-    """Earliest index in [lo, hi] matching the value and slope conditions."""
-    region = samples[lo : hi + 1]
-    candidates = np.flatnonzero(np.abs(region - target_value) <= value_window) + lo
-    if candidates.size == 0:
-        return None
-    if target_slope is not None and math.isfinite(slope_tol_rel):
-        slopes = (samples[candidates + 1] - samples[candidates - 1]) / (2.0 * dt)
-        candidates = candidates[np.abs(slopes / target_slope - 1.0) <= slope_tol_rel]
-        if candidates.size == 0:
-            return None
-    return int(candidates[0])
-
-
 def find_start_point(
     record: NoiseRecord,
     target_value: float,
     value_tol_rel: float,
     target_slope: float | None,
     slope_tol_rel: float,
-    allow_negation: bool = False,
-    max_index: int | None = None,
+    max_index: int,
 ) -> StartPoint | None:
-    """Earliest interior sample matching a (value, slope) target pair.
+    """Earliest sample in [1, max_index] matching a (value, slope) target
+    pair or its mirror (-value, -slope).
 
     A sample i qualifies when |s[i] - target_value| <= value_tol_rel * RMS
     and, if a slope target is given, |slope(i)/target_slope - 1| <=
-    slope_tol_rel where slope(i) is the central difference.  Passing
-    ``target_slope=None`` (or an infinite slope tolerance) disables the
-    slope condition.
-
-    With ``allow_negation`` the mirrored pair (-value, -slope) is also
-    searched; if the mirrored match comes first, the returned StartPoint
-    carries ``negate=True`` and reports the value/slope of the sign-flipped
-    record, which meets the original targets verbatim.
+    slope_tol_rel where slope(i) is the central difference;
+    ``target_slope=None`` means no slope condition.  Negating a zero-mean
+    Gaussian record gives an equally valid sample path, so the mirrored pair
+    is searched too.  If the mirrored match comes strictly first, the
+    returned StartPoint carries ``negate=True`` and reports the value/slope
+    of the sign-flipped record, which meets the original targets verbatim.
 
     ``max_index`` caps the search so enough samples remain after the start
     for a full transient run.  Returns None when nothing qualifies.
@@ -230,27 +206,40 @@ def find_start_point(
         if slope_tol_rel <= 0:
             raise ValueError("slope_tol_rel must be positive")
     s = record.samples
-    hi = len(s) - 2 if max_index is None else min(max_index, len(s) - 2)
+    hi = min(max_index, len(s) - 2)
     if hi < 1:
         return None
     window = value_tol_rel * record.target_rms
-    best: tuple[int, bool] | None = None
-    idx = _first_match(s, record.dt, 1, hi, target_value, window, target_slope, slope_tol_rel)
-    if idx is not None:
-        best = (idx, False)
-    if allow_negation and (target_value != 0.0 or target_slope is not None):
-        mirrored_slope = None if target_slope is None else -target_slope
-        idx = _first_match(
-            s, record.dt, 1, hi, -target_value, window, mirrored_slope, slope_tol_rel
-        )
-        if idx is not None and (best is None or idx < best[0]):
-            best = (idx, True)
-    if best is None:
+    # One scan of the record: | |s| - |target_value| | <= window holds for
+    # every sample within the window of +target_value or -target_value.  Each
+    # sign's own conditions are then tested on these candidates only.
+    dist = np.abs(s[1 : hi + 1])
+    if target_value != 0.0:
+        dist -= abs(target_value)
+        np.abs(dist, out=dist)
+    near = dist <= window
+    # Freed before the candidate arrays are made, so that they cannot pin the
+    # heap above it (that adds the buffer's 8 MiB to a run's peak RSS).
+    del dist
+    candidates = np.flatnonzero(near) + 1
+    if candidates.size == 0:
         return None
-    index, negate = best
+    values = s[candidates]
+    slopes = estimate_slope(record, candidates)
+    hits = []
+    for sign in (1.0, -1.0):
+        hit = np.abs(values - sign * target_value) <= window
+        if target_slope is not None:
+            hit &= np.abs(slopes / (sign * target_slope) - 1.0) <= slope_tol_rel
+        hits.append(hit)
+    either = np.flatnonzero(hits[0] | hits[1])
+    if either.size == 0:
+        return None
+    first = either[0]
+    index, negate = int(candidates[first]), not hits[0][first]
     sign = -1.0 if negate else 1.0
     value = sign * s[index]
-    slope = sign * estimate_slope(record, index)
+    slope = sign * slopes[first]
     if record.target_rms > 0:
         achieved_value = abs(value - target_value) / record.target_rms
     else:

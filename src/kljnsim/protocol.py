@@ -190,11 +190,13 @@ class GeneratorDrive:
 
 @dataclass(frozen=True)
 class _PartyTargets:
+    """A party's start rule; each tolerance is read only with its target."""
+
     sigma: float
-    target_value: float | None  # None: random interior start
-    value_tol: float
-    target_slope: float | None
-    slope_tol: float
+    target_value: float | None = None  # None: random interior start
+    value_tol: float = 0.0
+    target_slope: float | None = None  # None: no slope condition
+    slope_tol: float = 0.0
 
 
 def _scenario_targets(
@@ -210,9 +212,9 @@ def _scenario_targets(
         high = r == config.r_h
         scale = m_ratio if high else 1.0
         if scenario == ScenarioKind.NO_DEFENSE:
-            return _PartyTargets(sigma, None, math.nan, None, math.nan)
+            return _PartyTargets(sigma)
         if scenario == ScenarioKind.ZERO_START_ONLY:
-            return _PartyTargets(sigma, 0.0, params.zero_value_tol, None, math.inf)
+            return _PartyTargets(sigma, 0.0, params.zero_value_tol)
         if scenario == ScenarioKind.RATIO_START_NONZERO:
             return _PartyTargets(sigma, scale * v_l, params.s3_value_tol, scale * m_l, params.slope_tol)
         return _PartyTargets(sigma, 0.0, params.zero_value_tol, scale * m_l, params.slope_tol)
@@ -260,19 +262,14 @@ def _prepare_party(
             start = StartPoint(index, float(record.samples[index]), slope, math.nan, math.nan)
         else:
             start = find_start_point(
-                record,
-                targets.target_value,
-                value_tol,
-                targets.target_slope,
-                slope_tol,
-                allow_negation=True,
-                max_index=max_start,
+                record, targets.target_value, value_tol, targets.target_slope, slope_tol,
+                max_start,
             )
             if start is None:
                 continue
+        # A copy, so the played samples do not keep the whole record alive.
         played = record.samples[start.index : start.index + n_steps]
-        if start.negate:
-            played = -played
+        played = -played if start.negate else played.copy()
         return GeneratorDrive(record, start, played, loosened, attempt)
     slope = ("any slope" if targets.target_slope is None
              else f"slope {targets.target_slope:.6g} V/s within {slope_tol:g} relative")

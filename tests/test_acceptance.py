@@ -39,6 +39,7 @@ by the helpers below, and that of criterion 7 by validate_steady_state.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -364,7 +365,7 @@ def test_criterion_10_waveform_signature(tmp_path):
     cfg = RunConfig()
     jumps = {}
     for scenario in (1, 4):
-        path = cmd_waveforms(cfg, scenario, str(tmp_path))
+        path = cmd_waveforms(replace(cfg, out_dir=str(tmp_path)), scenario)
         data = np.loadtxt(path, skiprows=1)
         steps = np.abs(np.diff(data[:, 3]))
         jumps[scenario] = steps[D - 1] / np.median(steps)

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -153,7 +154,7 @@ class TestParseConfig:
 class TestCmdTables:
     def test_writes_one_csv_per_scenario(self, tmp_path):
         cfg = parse_config(FAST_CFG)
-        paths = cmd_tables(cfg, str(tmp_path))
+        paths = cmd_tables(replace(cfg, out_dir=str(tmp_path)))
         assert [p.name for p in paths] == ["scenario_1.csv", "scenario_2.csv"]
         for p in paths:
             lines = p.read_text().splitlines()
@@ -163,28 +164,28 @@ class TestCmdTables:
 
     def test_repeat_run_is_byte_identical(self, tmp_path):
         cfg = parse_config(FAST_CFG)
-        first = cmd_tables(cfg, str(tmp_path / "a"))
-        second = cmd_tables(cfg, str(tmp_path / "b"))
+        first = cmd_tables(replace(cfg, out_dir=str(tmp_path / "a")))
+        second = cmd_tables(replace(cfg, out_dir=str(tmp_path / "b")))
         for p1, p2 in zip(first, second):
             assert p1.read_bytes() == p2.read_bytes()
 
     def test_single_scenario_config(self, tmp_path):
         cfg = parse_config(FAST_CFG + "scenarios = 1\n")
-        paths = cmd_tables(cfg, str(tmp_path))
+        paths = cmd_tables(replace(cfg, out_dir=str(tmp_path)))
         assert len(paths) == 1
 
 
 class TestCmdWaveforms:
     def test_dump_columns_and_length(self, tmp_path):
         cfg = parse_config(FAST_CFG)
-        path = cmd_waveforms(cfg, 1, str(tmp_path))
+        path = cmd_waveforms(replace(cfg, out_dir=str(tmp_path)), 1)
         lines = path.read_text().splitlines()
         assert lines[0].split("\t") == ["time_s", "ugen_a", "ugen_b", "v_a", "v_b", "i_a", "i_b"]
         assert len(lines) == 1 + 2 * cfg.physical.dt_divisor
 
     def test_no_defense_dump_has_arrival_jump(self, tmp_path):
         cfg = parse_config(FAST_CFG)
-        path = cmd_waveforms(cfg, 1, str(tmp_path))
+        path = cmd_waveforms(replace(cfg, out_dir=str(tmp_path)), 1)
         data = np.loadtxt(path, skiprows=1)
         steps = np.abs(np.diff(data[:, 3]))
         arrival = steps[cfg.physical.dt_divisor - 1]
@@ -192,7 +193,7 @@ class TestCmdWaveforms:
 
     def test_full_defense_dump_has_no_arrival_jump(self, tmp_path):
         cfg = parse_config("n_cal = 50\nmaster_seed = 9\nrecord_len = 262144")
-        path = cmd_waveforms(cfg, 4, str(tmp_path))
+        path = cmd_waveforms(replace(cfg, out_dir=str(tmp_path)), 4)
         data = np.loadtxt(path, skiprows=1)
         steps = np.abs(np.diff(data[:, 3]))
         arrival = steps[cfg.physical.dt_divisor - 1]

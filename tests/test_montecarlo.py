@@ -1,8 +1,11 @@
 """Experiment harness: estimation, seeding discipline, steady-state machinery."""
 
+import math
+
 import numpy as np
 import pytest
 
+from kljnsim import montecarlo
 from kljnsim.montecarlo import (
     run_experiment,
     standard_error,
@@ -54,6 +57,35 @@ class TestRunExperiment:
         assert np.array_equal(one.decisions_i, many.decisions_i)
         assert np.array_equal(one.p_ev, many.p_ev)
 
+    @pytest.mark.parametrize("jobs, cpus, n, workers", [
+        (64, 1000, 200, 25),   # 25 chunks of 8 trials: one worker per chunk
+        (8, 3, 200, 3),        # three CPUs
+        (2, 2, 50, 2),
+    ])
+    def test_worker_count_capped_by_chunks_and_cpus(self, monkeypatch, jobs, cpus, n, workers):
+        started = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
+        tiny = SearchParams(record_len=2**15)
+        results = montecarlo._collect(CFG, ScenarioKind.NO_DEFENSE, 1, n, 5, (100,), tiny,
+                                      False, jobs)
+        assert started == [workers]
+        assert len(results) == n
+
     def test_random_state_still_scores_correctness(self):
         s = run_experiment(CFG, ScenarioKind.NO_DEFENSE, [CFG.fly_time], 24, 9, n_cal=50,
                            params=FAST, random_state=True)
@@ -98,11 +130,22 @@ class TestTrialWaveforms:
         b = trial_waveforms(CFG, ScenarioKind.NO_DEFENSE, 1, 42, CFG.fly_time, FAST)
         assert not np.array_equal(a.v_a, b.v_a)
 
+    @pytest.mark.parametrize("scenario", [ScenarioKind.NO_DEFENSE,
+                                          ScenarioKind.ZERO_START_SLOPE_MATCHED])
+    def test_waveforms_do_not_hold_the_records(self, scenario):
+        wf = trial_waveforms(CFG, scenario, 0, 1, 2 * CFG.fly_time)
+        assert wf.ugen_a.base is None and wf.ugen_b.base is None
+
 
 class TestValidateSteadyState:
     def test_rejects_short_duration(self):
         with pytest.raises(ValueError, match="0.2"):
             validate_steady_state(CFG, 0.1, 1)
+
+    @pytest.mark.parametrize("duration", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_duration(self, duration):
+        with pytest.raises(ValueError, match=f"duration must be finite, got {duration}"):
+            validate_steady_state(CFG, duration, 1)
 
     def test_report_structure_on_minimal_run(self):
         report = validate_steady_state(CFG, 1000.0 / CFG.bandwidth, 1)
