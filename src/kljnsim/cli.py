@@ -53,6 +53,8 @@ class RunConfig:
             raise ValueError("n_trials must be >= 1")
         if self.n_cal < 50:
             raise ValueError("n_cal must be >= 50")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
         _require_finite_positive(self, ("steady_duration",))

@@ -26,13 +26,11 @@ operations that perform the identical IEEE arithmetic as the scalar update.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "EndState",
-    "TransmissionLine",
     "TrialWaveforms",
     "reflection_coefficient",
     "lattice_step_response",
@@ -48,63 +46,6 @@ def reflection_coefficient(resistance: float, z0: float) -> float:
     if resistance < 0:
         raise ValueError(f"termination resistance must be non-negative, got {resistance}")
     return (resistance - z0) / (resistance + z0)
-
-
-@dataclass
-class EndState:
-    """Cable end voltage and the current flowing from the termination into the cable."""
-
-    v: float
-    i: float
-
-
-@dataclass
-class TransmissionLine:
-    """Traveling-wave state of one cable: two direction-specific delay buffers.
-
-    ``delay`` must be an exact integer multiple of ``dt``; buffers start at
-    zero (idle cable).  One instance is owned by exactly one trial.
-    """
-
-    z0: float
-    delay: float
-    dt: float
-    delay_steps: int = field(init=False)
-    _buf_ab: np.ndarray = field(init=False, repr=False)
-    _buf_ba: np.ndarray = field(init=False, repr=False)
-    _cursor: int = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.z0 <= 0:
-            raise ValueError(f"z0 must be positive, got {self.z0}")
-        if self.delay <= 0 or self.dt <= 0:
-            raise ValueError("delay and dt must be positive")
-        steps = self.delay / self.dt
-        if abs(steps - round(steps)) > 1e-9 * steps or round(steps) < 1:
-            raise ValueError(
-                f"delay/dt = {steps} is not a positive integer; pick dt that divides the fly time"
-            )
-        self.delay_steps = int(round(steps))
-        self.reset()
-
-    def reset(self) -> None:
-        """Return to the idle cold-cable state."""
-        self._buf_ab = np.zeros(self.delay_steps)
-        self._buf_ba = np.zeros(self.delay_steps)
-        self._cursor = 0
-
-    def step(self, u_a: float, r_a: float, u_b: float, r_b: float) -> tuple[EndState, EndState]:
-        """Advance one timestep with the given generator voltages and resistors."""
-        b_a = self._buf_ba[self._cursor]
-        b_b = self._buf_ab[self._cursor]
-        i_a = (u_a - b_a) / (r_a + self.z0)
-        v_a = self.z0 * i_a + b_a
-        i_b = (u_b - b_b) / (r_b + self.z0)
-        v_b = self.z0 * i_b + b_b
-        self._buf_ab[self._cursor] = v_a + self.z0 * i_a
-        self._buf_ba[self._cursor] = v_b + self.z0 * i_b
-        self._cursor = (self._cursor + 1) % self.delay_steps
-        return EndState(v_a, i_a), EndState(v_b, i_b)
 
 
 @dataclass
@@ -145,7 +86,8 @@ def _propagate(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Blocked traveling-wave recurrence from a cold start.
 
-    Bitwise identical to stepping a TransmissionLine sample by sample.
+    Bitwise identical to evaluating the per-end update above one sample at
+    a time.
     """
     n = len(u_a)
     v_a = np.empty(n)

@@ -15,6 +15,7 @@ individually valid.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -100,68 +101,48 @@ def _trial(
     return wf, state, drive_a.loosened or drive_b.loosened, coin_seed
 
 
-@dataclass(frozen=True)
-class _TrialResult:
-    rho_u: np.ndarray       # per requested window
-    rho_i: np.ndarray
-    coins: np.ndarray       # one uniform draw per window, shared by both channels
-    state: BitState
-    loosened: bool
-
-
 def _run_trial(
     config: PhysicalConfig,
     scenario: ScenarioKind,
     phase: int,
     trial: int,
+    *,
     master_seed: int,
     tau_steps: tuple[int, ...],
     params: SearchParams,
     random_state: bool,
-) -> _TrialResult:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool, bool]:
+    """One trial's rho_u and rho_i per window, its fallback coins (one
+    uniform draw per window, shared by both channels), whether it ran the
+    HL state, and whether either party's search loosened."""
     wf, state, loosened, coin_seed = _trial(
         config, scenario, phase, trial, master_seed, max(tau_steps), params, random_state
     )
     rho_u, rho_i = window_stats(wf, tau_steps)
     coins = np.random.default_rng(coin_seed).random(len(tau_steps))
-    return _TrialResult(rho_u, rho_i, coins, state, loosened)
+    return rho_u, rho_i, coins, state == BitState.HL, loosened
 
 
-def _run_chunk(args) -> list[_TrialResult]:
-    config, scenario, phase, lo, hi, master_seed, tau_steps, params, random_state = args
-    return [
-        _run_trial(config, scenario, phase, t, master_seed, tau_steps, params, random_state)
-        for t in range(lo, hi)
-    ]
+def _run_chunk(run, tasks) -> list:
+    return [run(phase, trial) for phase, trial in tasks]
 
 
-def _collect(
-    config: PhysicalConfig,
-    scenario: ScenarioKind,
-    phase: int,
-    n: int,
-    master_seed: int,
-    tau_steps: tuple[int, ...],
-    params: SearchParams,
-    random_state: bool,
-    jobs: int,
-) -> list[_TrialResult]:
-    """Run trials 0 .. n-1 in process, or in chunks on at most ``jobs``
-    workers, no more than there are chunks or CPUs."""
+def _collect(run, phases, jobs: int) -> tuple[np.ndarray, ...]:
+    """Run ``run(phase, trial)`` for trials 0 .. n-1 of every (phase, n) in
+    ``phases``, in process or in chunks on at most ``jobs`` workers, no more
+    than there are chunks or CPUs.  Returns each output of ``run`` stacked
+    over the trials, in task order."""
+    tasks = [(phase, trial) for phase, n in phases for trial in range(n)]
     jobs = min(jobs, os.cpu_count() or 1)
-    if jobs <= 1 or n < 2 * jobs:
-        return _run_chunk(
-            (config, scenario, phase, 0, n, master_seed, tau_steps, params, random_state)
-        )
-    chunk = max(8, math.ceil(n / (4 * jobs)))
-    tasks = [
-        (config, scenario, phase, lo, min(lo + chunk, n), master_seed, tau_steps, params,
-         random_state)
-        for lo in range(0, n, chunk)
-    ]
-    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-        parts = list(pool.map(_run_chunk, tasks))
-    return [r for part in parts for r in part]
+    if jobs <= 1 or len(tasks) < 2 * jobs:
+        outputs = _run_chunk(run, tasks)
+    else:
+        size = max(8, math.ceil(len(tasks) / (4 * jobs)))
+        chunks = [tasks[lo : lo + size] for lo in range(0, len(tasks), size)]
+        with ProcessPoolExecutor(max_workers=min(jobs, len(chunks))) as pool:
+            parts = pool.map(functools.partial(_run_chunk, run), chunks)
+            outputs = [out for part in parts for out in part]
+    return tuple(np.array(column) for column in zip(*outputs))
 
 
 @dataclass
@@ -234,7 +215,8 @@ def run_experiment(
     the HL state unless ``random_state`` is set, in which case each trial
     draws HL or LH from its own stream.  A guess is correct when it names
     the trial's actual state; the two channels share one fallback coin per
-    (trial, window).
+    (trial, window).  Both phases run in one pass, on one pool when
+    ``jobs`` > 1.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
@@ -252,18 +234,19 @@ def run_experiment(
         tau_steps.append(int(round(steps)))
     tau_steps = tuple(tau_steps)
 
-    cal = _collect(config, scenario, _PHASE_CAL, n_cal, master_seed, tau_steps, params,
-                   False, jobs)
-    cal_u = np.array([r.rho_u for r in cal])
-    cal_i = np.array([r.rho_i for r in cal])
-    signs = [signs_from_calibration(cal_u[:, j], cal_i[:, j]) for j in range(len(taus))]
-
-    ev = _collect(config, scenario, _PHASE_EVAL, n_trials, master_seed, tau_steps, params,
-                  random_state, jobs)
-    coins = np.array([r.coins for r in ev])
-    actual_hl = np.array([r.state == BitState.HL for r in ev])[:, None]
-    ok_v = decide([s.sign_u for s in signs], np.array([r.rho_u for r in ev]), coins) == actual_hl
-    ok_i = decide([s.sign_i for s in signs], np.array([r.rho_i for r in ev]), coins) == actual_hl
+    run = functools.partial(
+        _run_trial, config, scenario, master_seed=master_seed, tau_steps=tau_steps,
+        params=params, random_state=random_state,
+    )
+    rho_u, rho_i, coins, hl, loosened = _collect(
+        run, ((_PHASE_CAL, n_cal), (_PHASE_EVAL, n_trials)), jobs
+    )
+    signs = [
+        signs_from_calibration(rho_u[:n_cal, j], rho_i[:n_cal, j]) for j in range(len(taus))
+    ]
+    actual_hl = hl[n_cal:, None]
+    ok_v = decide([s.sign_u for s in signs], rho_u[n_cal:], coins[n_cal:]) == actual_hl
+    ok_i = decide([s.sign_i for s in signs], rho_i[n_cal:], coins[n_cal:]) == actual_hl
     p_ev = ok_v.mean(axis=0)
     p_ei = ok_i.mean(axis=0)
     return ExperimentSummary(
@@ -276,7 +259,7 @@ def run_experiment(
         n_trials=n_trials,
         n_cal=n_cal,
         master_seed=master_seed,
-        loosened_fraction=float(np.mean([r.loosened for r in ev])),
+        loosened_fraction=float(np.mean(loosened[n_cal:])),
         signs=signs,
         decisions_v=ok_v,
         decisions_i=ok_i,

@@ -2,9 +2,9 @@
 
 One bit exchange period (BEP) connects a randomly chosen resistor (R_H or
 R_L) at each end of the cable for the whole period.  The HL and LH joint
-states are the secure ones; HH and LL are discarded.  The four start-up
-scenarios differ only in how each party picks the instant at which its
-pre-generated noise record is connected:
+states are the secure ones; HH and LL are discarded, so only HL and LH are
+modelled.  The four start-up scenarios differ only in how each party picks
+the instant at which its pre-generated noise record is connected:
 
   1 NO_DEFENSE                random interior sample (abrupt random-amplitude start)
   2 ZERO_START_ONLY           earliest near-zero sample, slope unconstrained
@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .noise import (
-    NoiseRecord,
     StartPoint,
     estimate_slope,
     find_start_point,
@@ -81,9 +80,9 @@ class PhysicalConfig:
         _require_finite_positive(self, ("r_h", "r_l", "z0", "temperature", "bandwidth", "fly_time"))
         if not self.r_h > self.r_l:
             raise ValueError(f"need r_h > r_l > 0, got r_h={self.r_h}, r_l={self.r_l}")
-        if not (math.isfinite(self.dt_divisor) and int(self.dt_divisor) == self.dt_divisor
-                and self.dt_divisor >= 10):
-            raise ValueError(f"dt_divisor must be an integer >= 10, got {self.dt_divisor}")
+        # Below 2**53, so that the divisor converts to float exactly.
+        if not (10 <= self.dt_divisor < 2**53 and self.dt_divisor % 1 == 0):
+            raise ValueError(f"dt_divisor must be an integer in [10, 2**53), got {self.dt_divisor}")
 
     @property
     def dt(self) -> float:
@@ -95,25 +94,15 @@ class PhysicalConfig:
 
 
 class BitState(enum.Enum):
-    """Joint resistor choice (Alice's, Bob's)."""
+    """Secure joint resistor choice (Alice's, Bob's)."""
 
     HL = "HL"
     LH = "LH"
-    HH = "HH"
-    LL = "LL"
-
-    @property
-    def is_secure(self) -> bool:
-        return self in (BitState.HL, BitState.LH)
 
     def resistors(self, config: PhysicalConfig) -> tuple[float, float]:
         """(Alice's, Bob's) resistance for this state."""
         pick = {"H": config.r_h, "L": config.r_l}
         return pick[self.value[0]], pick[self.value[1]]
-
-    @property
-    def mirrored(self) -> "BitState":
-        return BitState(self.value[::-1])
 
 
 class ScenarioKind(enum.IntEnum):
@@ -177,11 +166,10 @@ class SearchParams:
 
 @dataclass(frozen=True)
 class GeneratorDrive:
-    """A synthesized record, the start point it is played back from, and the
+    """The start point a party's record is played back from, and the
     ``samples`` it plays: n_steps samples from the start point, sign-flipped
     when ``start.negate`` is set."""
 
-    record: NoiseRecord
     start: StartPoint
     samples: np.ndarray = field(repr=False)
     loosened: bool = False
@@ -270,7 +258,7 @@ def _prepare_party(
         # A copy, so the played samples do not keep the whole record alive.
         played = record.samples[start.index : start.index + n_steps]
         played = -played if start.negate else played.copy()
-        return GeneratorDrive(record, start, played, loosened, attempt)
+        return GeneratorDrive(start, played, loosened, attempt)
     slope = ("any slope" if targets.target_slope is None
              else f"slope {targets.target_slope:.6g} V/s within {slope_tol:g} relative")
     raise ValueError(
@@ -295,8 +283,6 @@ def prepare_generators(
     parties use independent child streams of ``seed``, so swapping the state
     swaps which party receives the H-scaled targets.
     """
-    if not state.is_secure:
-        raise ValueError(f"bit exchange runs only in secure states, got {state.value}")
     if not isinstance(seed, np.random.SeedSequence):
         seed = np.random.SeedSequence(seed)
     t_a, t_b = _scenario_targets(scenario, state, config, params)

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kljnsim
 from kljnsim.cli import RunConfig, cmd_tables, cmd_waveforms, main, parse_config
@@ -145,6 +147,29 @@ class TestParseConfig:
         with pytest.raises(ValueError, match=f"invalid configuration: {named} must be finite"):
             parse_config(f"{key} = {value}")
 
+    def test_negative_master_seed_rejected(self):
+        with pytest.raises(ValueError, match="master_seed must be >= 0, got -1"):
+            parse_config("master_seed = -1")
+
+    @settings(max_examples=400, deadline=None)
+    @given(key=st.sampled_from([line.split(" = ")[0] for line in DEFAULT_TEXT.splitlines()]),
+           value=st.one_of(
+               # anything on one line, and values at the edges of the checks
+               st.text(st.characters(blacklist_categories=("Cc", "Zl", "Zp", "Cs")),
+                       max_size=12),
+               st.integers().map(str),
+               st.integers(-2, 2).map(lambda e: str(10 ** 400 * e)),
+               st.floats().map(repr),
+               st.lists(st.integers(-3, 6), max_size=4).map(
+                   lambda xs: ",".join(map(str, xs))),
+               st.sampled_from(["", "true", "no", "1e400", "-0", "0x10", "1_000"]),
+           ))
+    def test_fuzz_parses_or_names_the_key(self, key, value):
+        try:
+            parse_config(f"{key} = {value}")
+        except ValueError as exc:
+            assert key in str(exc) or (key == "t_f" and "fly_time" in str(exc))
+
     def test_out_dir_key(self, tmp_path):
         cfg = parse_config(f"out_dir = {tmp_path}/from_key\n" + FAST_CFG + "scenarios = 1\n")
         assert main(["tables", "--config", _write(tmp_path, cfg.to_text())]) == 0
@@ -225,6 +250,14 @@ class TestMain:
         rc = main(["validate", "--config", str(cfg_file)])
         assert rc == 2
         assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["tables"], ["waveforms", "--scenario", "1"],
+                                         ["validate"]])
+    def test_negative_seed_exit_two_before_writing(self, tmp_path, capsys, command):
+        rc = main(command + ["--seed", "-1", "--out", str(tmp_path)])
+        assert rc == 2
+        assert "master_seed must be >= 0" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_config_file_exit_two(self, tmp_path):
         rc = main(["tables", "--config", str(tmp_path / "nope.cfg")])

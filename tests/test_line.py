@@ -8,6 +8,7 @@ per-step update.
 """
 
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -15,8 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kljnsim.line import (
-    EndState,
-    TransmissionLine,
     TrialWaveforms,
     _propagate,
     ideal_line_steady_state,
@@ -30,6 +29,65 @@ from kljnsim.protocol import BitState, PhysicalConfig, resultant_resistances, st
 CFG = PhysicalConfig()
 R_H, R_L, Z0, TF, DT = CFG.r_h, CFG.r_l, CFG.z0, CFG.fly_time, CFG.dt
 D = CFG.dt_divisor
+
+
+# The scalar per-step engine: the bitwise reference for the blocked
+# ``_propagate``.
+@dataclass
+class EndState:
+    """Cable end voltage and the current flowing from the termination into the cable."""
+
+    v: float
+    i: float
+
+
+@dataclass
+class TransmissionLine:
+    """Traveling-wave state of one cable: two direction-specific delay buffers.
+
+    ``delay`` must be an exact integer multiple of ``dt``; buffers start at
+    zero (idle cable).  One instance is owned by exactly one trial.
+    """
+
+    z0: float
+    delay: float
+    dt: float
+    delay_steps: int = field(init=False)
+    _buf_ab: np.ndarray = field(init=False, repr=False)
+    _buf_ba: np.ndarray = field(init=False, repr=False)
+    _cursor: int = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.z0 <= 0:
+            raise ValueError(f"z0 must be positive, got {self.z0}")
+        if self.delay <= 0 or self.dt <= 0:
+            raise ValueError("delay and dt must be positive")
+        steps = self.delay / self.dt
+        if abs(steps - round(steps)) > 1e-9 * steps or round(steps) < 1:
+            raise ValueError(
+                f"delay/dt = {steps} is not a positive integer; pick dt that divides the fly time"
+            )
+        self.delay_steps = int(round(steps))
+        self.reset()
+
+    def reset(self) -> None:
+        """Return to the idle cold-cable state."""
+        self._buf_ab = np.zeros(self.delay_steps)
+        self._buf_ba = np.zeros(self.delay_steps)
+        self._cursor = 0
+
+    def step(self, u_a: float, r_a: float, u_b: float, r_b: float) -> tuple[EndState, EndState]:
+        """Advance one timestep with the given generator voltages and resistors."""
+        b_a = self._buf_ba[self._cursor]
+        b_b = self._buf_ab[self._cursor]
+        i_a = (u_a - b_a) / (r_a + self.z0)
+        v_a = self.z0 * i_a + b_a
+        i_b = (u_b - b_b) / (r_b + self.z0)
+        v_b = self.z0 * i_b + b_b
+        self._buf_ab[self._cursor] = v_a + self.z0 * i_a
+        self._buf_ba[self._cursor] = v_b + self.z0 * i_b
+        self._cursor = (self._cursor + 1) % self.delay_steps
+        return EndState(v_a, i_a), EndState(v_b, i_b)
 
 
 class TestReflectionCoefficient:

@@ -1,6 +1,8 @@
 """Experiment harness: estimation, seeding discipline, steady-state machinery."""
 
+import functools
 import math
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -80,11 +82,40 @@ class TestRunExperiment:
 
         monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InProcessPool)
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
-        tiny = SearchParams(record_len=2**15)
-        results = montecarlo._collect(CFG, ScenarioKind.NO_DEFENSE, 1, n, 5, (100,), tiny,
-                                      False, jobs)
+        run = functools.partial(
+            montecarlo._run_trial, CFG, ScenarioKind.NO_DEFENSE, master_seed=5,
+            tau_steps=(100,), params=SearchParams(record_len=2**15), random_state=False,
+        )
+        results = montecarlo._collect(run, ((montecarlo._PHASE_EVAL, n),), jobs)
         assert started == [workers]
-        assert len(results) == n
+        assert all(len(column) == n for column in results)
+
+    @pytest.mark.parametrize("scenario, random_state", [
+        (ScenarioKind.NO_DEFENSE, False),
+        (ScenarioKind.ZERO_START_SLOPE_MATCHED, True),
+    ])
+    def test_real_pool_gives_in_process_results(self, monkeypatch, scenario, random_state):
+        # the worker cap would run jobs=2 in process on a 1-CPU host
+        started = []
+
+        class CountingPool(ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                started.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+        one, two = (
+            run_experiment(CFG, scenario, TAUS, 16, 1, n_cal=50, params=FAST,
+                           random_state=random_state, jobs=jobs)
+            for jobs in (1, 2)
+        )
+        assert started == [2]
+        assert np.array_equal(one.decisions_v, two.decisions_v)
+        assert np.array_equal(one.decisions_i, two.decisions_i)
+        assert one.signs == two.signs
+        assert one.loosened_fraction == two.loosened_fraction
+        assert one.csv_lines() == two.csv_lines()
 
     def test_random_state_still_scores_correctness(self):
         s = run_experiment(CFG, ScenarioKind.NO_DEFENSE, [CFG.fly_time], 24, 9, n_cal=50,

@@ -129,6 +129,25 @@ class TestSynthesizeRecord:
         # first zero sits at 1/(2B): the correlation scale, ten fly times here
         assert measured_zero == pytest.approx(1.0 / (2.0 * B), rel=0.2)
 
+    @pytest.mark.parametrize("n", [2**16, 2**20])
+    def test_normalization_is_the_parseval_value(self, n):
+        # with the DC and Nyquist bins zero, the mean square of irfft(X, n)
+        # is 2*sum|X_k|^2/n^2, so the scale needs no samples
+        sigma = 1.9661681515068847
+        n_bins = int(math.floor(B * n * DT))
+        for seed in range(10):
+            rng = np.random.default_rng(np.random.SeedSequence(seed))
+            spectrum = np.zeros(n // 2 + 1, dtype=complex)
+            spectrum[1 : n_bins + 1] = (
+                rng.standard_normal(n_bins) + 1j * rng.standard_normal(n_bins)
+            )
+            raw = np.fft.irfft(spectrum, n)
+            parseval = 2.0 * np.sum(np.abs(spectrum) ** 2) / n**2
+            assert np.mean(raw * raw) == pytest.approx(parseval, rel=1e-12)
+            rec = synthesize_record(np.random.SeedSequence(seed), n, DT, B, sigma)
+            expected = raw * (sigma / math.sqrt(parseval))
+            assert np.max(np.abs(rec.samples - expected)) <= 1e-12 * sigma
+
     def test_rejects_band_at_or_above_nyquist(self):
         with pytest.raises(ValueError):
             synthesize_record(0, 2**15, DT, 0.5 / DT, 1.0)

@@ -29,6 +29,22 @@ CFG = PhysicalConfig()
 FAST = SearchParams(record_len=2**18)
 
 
+def _prepare_with_records(monkeypatch, *args):
+    """prepare_generators(*args), each drive paired with the record it plays.
+
+    The parties synthesize in turn, A then B, so each party's record is the
+    last one synthesized within its ``attempts``.
+    """
+    records = []
+    synthesize = protocol.synthesize_record
+    with monkeypatch.context() as m:
+        m.setattr(protocol, "synthesize_record",
+                  lambda *a: records.append(synthesize(*a)) or records[-1])
+        drive_a, drive_b = prepare_generators(*args)
+    assert len(records) == drive_a.attempts + drive_b.attempts
+    return (drive_a, records[drive_a.attempts - 1]), (drive_b, records[-1])
+
+
 class TestPhysicalConfig:
     def test_defaults_match_demonstration_setup(self):
         assert (CFG.r_h, CFG.r_l, CFG.z0) == (11e3, 2e3, 50.0)
@@ -106,34 +122,26 @@ class TestSteadyStateLevels:
         levels = steady_state_levels(CFG)
         assert levels[BitState.HL] == levels[BitState.LH]
 
-    def test_ordering(self):
-        levels = steady_state_levels(CFG)
-        assert levels[BitState.LL] < levels[BitState.HL] < levels[BitState.HH]
-
 
 class TestBitState:
-    def test_security_flags(self):
-        assert BitState.HL.is_secure and BitState.LH.is_secure
-        assert not BitState.HH.is_secure and not BitState.LL.is_secure
-
     def test_resistor_assignment(self):
         assert BitState.HL.resistors(CFG) == (CFG.r_h, CFG.r_l)
         assert BitState.LH.resistors(CFG) == (CFG.r_l, CFG.r_h)
 
     def test_mirrored(self):
-        assert BitState.HL.mirrored == BitState.LH
-        assert BitState.HH.mirrored == BitState.HH
+        assert BitState(BitState.HL.value[::-1]) == BitState.LH
+        assert BitState.LH.resistors(CFG) == BitState.HL.resistors(CFG)[::-1]
 
 
 class TestPrepareGenerators:
-    def test_record_rms_follows_resistor(self):
-        drive_a, drive_b = prepare_generators(
-            ScenarioKind.NO_DEFENSE, BitState.HL, CFG, 11, n_steps=400, params=FAST
+    def test_record_rms_follows_resistor(self, monkeypatch):
+        (_, record_a), (_, record_b) = _prepare_with_records(
+            monkeypatch, ScenarioKind.NO_DEFENSE, BitState.HL, CFG, 11, 400, FAST
         )
-        assert drive_a.record.target_rms == pytest.approx(4.611, abs=5e-4)
-        assert drive_b.record.target_rms == pytest.approx(1.9662, abs=5e-5)
-        rms_a = math.sqrt(np.mean(drive_a.record.samples ** 2))
-        assert rms_a == pytest.approx(drive_a.record.target_rms, rel=1e-12)
+        assert record_a.target_rms == pytest.approx(4.611, abs=5e-4)
+        assert record_b.target_rms == pytest.approx(1.9662, abs=5e-5)
+        rms_a = math.sqrt(np.mean(record_a.samples ** 2))
+        assert rms_a == pytest.approx(record_a.target_rms, rel=1e-12)
 
     def test_lh_mirrors_hl_targets(self):
         hl_a, hl_b = prepare_generators(
@@ -154,8 +162,8 @@ class TestPrepareGenerators:
         drive_a, drive_b = prepare_generators(
             ScenarioKind.ZERO_START_SLOPE_MATCHED, BitState.HL, CFG, 13, 400, FAST
         )
-        assert abs(drive_a.start.value) <= 1e-3 * drive_a.record.target_rms
-        assert abs(drive_b.start.value) <= 1e-3 * drive_b.record.target_rms
+        assert abs(drive_a.start.value) <= 1e-3 * CFG.sigma(CFG.r_h)
+        assert abs(drive_b.start.value) <= 1e-3 * CFG.sigma(CFG.r_l)
         ratio = drive_a.start.slope / drive_b.start.slope
         m_hl = slope_ratio(CFG.r_h, CFG.r_l, CFG.z0)
         compounded = 1.01 / 0.99
@@ -179,35 +187,34 @@ class TestPrepareGenerators:
         drive_a, _ = prepare_generators(
             ScenarioKind.ZERO_START_ONLY, BitState.HL, CFG, 15, 400, FAST
         )
-        assert abs(drive_a.start.value) <= 1e-3 * drive_a.record.target_rms
+        assert abs(drive_a.start.value) <= 1e-3 * CFG.sigma(CFG.r_h)
         assert math.isnan(drive_a.start.achieved_slope_tol)
 
-    def test_rejects_insecure_state(self):
-        with pytest.raises(ValueError):
-            prepare_generators(ScenarioKind.NO_DEFENSE, BitState.HH, CFG, 16, 400, FAST)
-
-    def test_deterministic(self):
-        a1, b1 = prepare_generators(ScenarioKind.NO_DEFENSE, BitState.HL, CFG, 17, 400, FAST)
-        a2, b2 = prepare_generators(ScenarioKind.NO_DEFENSE, BitState.HL, CFG, 17, 400, FAST)
+    def test_deterministic(self, monkeypatch):
+        args = (ScenarioKind.NO_DEFENSE, BitState.HL, CFG, 17, 400, FAST)
+        (a1, record_a1), (b1, _) = _prepare_with_records(monkeypatch, *args)
+        (a2, record_a2), (b2, _) = _prepare_with_records(monkeypatch, *args)
         assert a1.start == a2.start
-        assert np.array_equal(a1.record.samples, a2.record.samples)
+        assert np.array_equal(record_a1.samples, record_a2.samples)
         assert b1.start == b2.start
 
-    def test_parties_use_independent_streams(self):
-        a, b = prepare_generators(ScenarioKind.NO_DEFENSE, BitState.HL, CFG, 18, 400, FAST)
+    def test_parties_use_independent_streams(self, monkeypatch):
+        (_, record_a), (_, record_b) = _prepare_with_records(
+            monkeypatch, ScenarioKind.NO_DEFENSE, BitState.HL, CFG, 18, 400, FAST
+        )
         # same physics scaled: records must not be proportional to each other
-        corr = np.corrcoef(a.record.samples, b.record.samples)[0, 1]
+        corr = np.corrcoef(record_a.samples, record_b.samples)[0, 1]
         assert abs(corr) < 0.2
 
-    def test_drive_plays_its_record_from_the_start_point(self):
+    def test_drive_plays_its_record_from_the_start_point(self, monkeypatch):
         # at seed 27 scenario 4 enters one record sign-flipped and the other not
         n = 400
-        drives = prepare_generators(
-            ScenarioKind.ZERO_START_SLOPE_MATCHED, BitState.HL, CFG, 27, n, FAST
+        pairs = _prepare_with_records(
+            monkeypatch, ScenarioKind.ZERO_START_SLOPE_MATCHED, BitState.HL, CFG, 27, n, FAST
         )
-        assert {drive.start.negate for drive in drives} == {True, False}
-        for drive in drives:
-            played = drive.record.samples[drive.start.index : drive.start.index + n]
+        assert {drive.start.negate for drive, _ in pairs} == {True, False}
+        for drive, record in pairs:
+            played = record.samples[drive.start.index : drive.start.index + n]
             assert np.array_equal(drive.samples, -played if drive.start.negate else played)
 
     def test_rejects_records_too_short_for_the_transient(self):
