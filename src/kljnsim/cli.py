@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 validation failure, 2 configuration error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from dataclasses import dataclass, field, fields, is_dataclass, replace
@@ -39,7 +40,6 @@ class RunConfig:
     n_cal: int = 200
     master_seed: int = 1
     search: SearchParams = field(default_factory=SearchParams)
-    random_state: bool = False
     steady_duration: float = 6.4
     jobs: int = 1
     out_dir: str = "out"
@@ -49,6 +49,12 @@ class RunConfig:
             raise ValueError(f"scenarios must be a nonempty subset of 1..4, got {self.scenarios}")
         if not self.tau_multipliers or any(m < 1 for m in self.tau_multipliers):
             raise ValueError("tau_multipliers must be positive integers")
+        try:
+            finite = all(math.isfinite(tau) for tau in self.taus())
+        except OverflowError:  # a multiplier beyond the float range
+            finite = False
+        if not finite:
+            raise ValueError("tau_multipliers times t_f must be finite floats")
         if self.n_trials < 1:
             raise ValueError("n_trials must be >= 1")
         if self.n_cal < 50:
@@ -81,8 +87,6 @@ def _leaves(obj, path: tuple[str, ...] = ()):
 
 
 def _format(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return f"{value:g}"
     if isinstance(value, tuple):
@@ -90,21 +94,12 @@ def _format(value) -> str:
     return str(value)
 
 
-def _parse_bool(raw: str) -> bool:
-    low = raw.strip().lower()
-    if low in ("true", "yes", "on", "1"):
-        return True
-    if low in ("false", "no", "off", "0"):
-        return False
-    raise ValueError(f"not a boolean: {raw!r}")
-
-
 def _parse_int_list(raw: str) -> tuple[int, ...]:
     return tuple(int(part.strip()) for part in raw.split(",") if part.strip())
 
 
 # Parsers by the type of a field's default value; other types parse themselves.
-_PARSERS = {bool: _parse_bool, tuple: _parse_int_list}
+_PARSERS = {tuple: _parse_int_list}
 
 
 def _replace_nested(obj, changes: dict):
@@ -184,7 +179,6 @@ def cmd_tables(cfg: RunConfig) -> list[Path]:
             cfg.master_seed,
             n_cal=cfg.n_cal,
             params=cfg.search,
-            random_state=cfg.random_state,
             jobs=cfg.jobs,
         )
         path = out_dir / f"scenario_{scenario}.csv"
@@ -214,10 +208,13 @@ def cmd_waveforms(cfg: RunConfig, scenario: int) -> Path:
     return path
 
 
-def _line_oracle_ok(cfg: RunConfig) -> tuple[bool, str]:
-    """Quick engine-vs-oracle cross check on the configured parameters."""
-    p = cfg.physical
-    n = 12 * p.dt_divisor
+# The engine-vs-oracle check runs 12 fly times with one Python oracle call
+# per sample; it may take no more samples than one steady-state segment.
+MAX_ORACLE_SAMPLES = 2**21
+
+
+def _line_oracle_ok(p: PhysicalConfig, n: int) -> tuple[bool, str]:
+    """Quick engine-vs-oracle cross check of an n-sample step response."""
     wf = run_transient(p, np.ones(n), p.r_h, np.zeros(n), p.r_l)
     worst = 0.0
     for k in range(n):
@@ -236,9 +233,18 @@ def _line_oracle_ok(cfg: RunConfig) -> tuple[bool, str]:
 
 
 def cmd_validate(cfg: RunConfig) -> tuple[bool, str]:
-    """Run the steady-state identity checks plus the line-engine oracle check."""
-    oracle_ok, oracle_line = _line_oracle_ok(cfg)
+    """Run the steady-state identity checks plus the line-engine oracle check.
+
+    Every input check runs before either check's work starts.
+    """
+    n_oracle = 12 * cfg.physical.dt_divisor
+    if n_oracle > MAX_ORACLE_SAMPLES:
+        raise ValueError(
+            f"dt_divisor {cfg.physical.dt_divisor} asks the line-engine check for {n_oracle} "
+            f"samples (12 fly times), above the maximum of {MAX_ORACLE_SAMPLES}"
+        )
     report = validate_steady_state(cfg.physical, cfg.steady_duration, cfg.master_seed)
+    oracle_ok, oracle_line = _line_oracle_ok(cfg.physical, n_oracle)
     text = "\n".join([
         "line engine:",
         oracle_line,

@@ -38,6 +38,10 @@ __all__ = [
     "run_transient",
 ]
 
+# lattice_step_response rejects queries within this fraction of a fly time
+# of an arrival instant, where the step response is discontinuous.
+ARRIVAL_GUARD = 1e-9
+
 
 def reflection_coefficient(resistance: float, z0: float) -> float:
     """Voltage reflection coefficient (R - z0)/(R + z0) of a resistive end."""
@@ -144,16 +148,15 @@ def lattice_step_response(
     z0: float,
     fly_time: float,
     t: float,
-    rel_guard: float = 1e-9,
 ) -> tuple[float, float]:
     """Closed-form step response of the terminated line (bounce-diagram sum).
 
     A step of height ``u`` is applied at the source end at t = 0.  The
     launched wave u*z0/(r_src + z0) bounces between the ends, each arrival
     multiplying by the local reflection coefficient; the end voltages are
-    piecewise constant between arrivals.  Queries within ``rel_guard`` of an
-    arrival instant k*fly_time are rejected because the value is
-    discontinuous there.
+    piecewise constant between arrivals.  Queries within ARRIVAL_GUARD fly
+    times of an arrival instant k*fly_time are rejected because the value
+    is discontinuous there.
 
     Returns (v_src, v_load).  Used as an independent oracle for the
     time-stepped engine.
@@ -163,7 +166,7 @@ def lattice_step_response(
     if fly_time <= 0:
         raise ValueError("fly_time must be positive")
     k_near = round(t / fly_time)
-    if k_near > 0 and abs(t - k_near * fly_time) <= rel_guard * fly_time:
+    if k_near > 0 and abs(t - k_near * fly_time) <= ARRIVAL_GUARD * fly_time:
         raise ValueError(
             f"t = {t} is at (or too close to) the arrival instant {k_near}*fly_time; "
             "the step response is discontinuous there"

@@ -120,7 +120,7 @@ def in_band_bins(n: int, dt: float, bandwidth: float) -> int:
 
 
 def synthesize_record(
-    seed: int | np.random.SeedSequence | np.random.Generator,
+    seed: int | np.random.SeedSequence,
     n: int,
     dt: float,
     bandwidth: float,
@@ -153,7 +153,7 @@ def synthesize_record(
             f"record too short: only {n_bins} in-band frequency bins, need >= 10 "
             f"(n*dt*B = {n * dt * bandwidth:.3g})"
         )
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     if sigma == 0.0:
         return NoiseRecord(np.zeros(n), dt, 0.0)
     spectrum = np.zeros(n // 2 + 1, dtype=complex)

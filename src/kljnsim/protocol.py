@@ -143,23 +143,19 @@ class SearchParams:
     """Defense search settings.
 
     record_len       samples per synthesized record
-    zero_value_tol   near-zero window for scenarios 2 and 4, relative to the
+    value_tol        start-value window of scenarios 2-4, relative to the
                      record RMS
     slope_tol        relative slope window around the public target
-    s3_value_tol     value window for scenario 3, relative to the record RMS
     s3_value_fraction  public L-side start value, as a fraction of sigma_L
     """
 
     record_len: int = 2**20
-    zero_value_tol: float = 1e-3
+    value_tol: float = 1e-3
     slope_tol: float = 1e-2
-    s3_value_tol: float = 1e-3
     s3_value_fraction: float = 0.5
 
     def __post_init__(self) -> None:
-        _require_finite_positive(
-            self, ("zero_value_tol", "slope_tol", "s3_value_tol", "s3_value_fraction")
-        )
+        _require_finite_positive(self, ("value_tol", "slope_tol", "s3_value_fraction"))
         if self.record_len < 2:
             raise ValueError("record_len must be >= 2")
 
@@ -178,13 +174,11 @@ class GeneratorDrive:
 
 @dataclass(frozen=True)
 class _PartyTargets:
-    """A party's start rule; each tolerance is read only with its target."""
+    """A party's start rule."""
 
     sigma: float
     target_value: float | None = None  # None: random interior start
-    value_tol: float = 0.0
     target_slope: float | None = None  # None: no slope condition
-    slope_tol: float = 0.0
 
 
 def _scenario_targets(
@@ -202,10 +196,10 @@ def _scenario_targets(
         if scenario == ScenarioKind.NO_DEFENSE:
             return _PartyTargets(sigma)
         if scenario == ScenarioKind.ZERO_START_ONLY:
-            return _PartyTargets(sigma, 0.0, params.zero_value_tol)
+            return _PartyTargets(sigma, 0.0)
         if scenario == ScenarioKind.RATIO_START_NONZERO:
-            return _PartyTargets(sigma, scale * v_l, params.s3_value_tol, scale * m_l, params.slope_tol)
-        return _PartyTargets(sigma, 0.0, params.zero_value_tol, scale * m_l, params.slope_tol)
+            return _PartyTargets(sigma, scale * v_l, scale * m_l)
+        return _PartyTargets(sigma, 0.0, scale * m_l)
 
     r_a, r_b = state.resistors(config)
     return for_resistor(r_a), for_resistor(r_b)
@@ -232,8 +226,8 @@ def _prepare_party(
     max_start = n - 1 - n_steps
     if max_start < 1:
         raise ValueError(f"record_len {n} too short for {n_steps} transient steps")
-    value_tol = targets.value_tol
-    slope_tol = targets.slope_tol
+    value_tol = params.value_tol
+    slope_tol = params.slope_tol
     loosened = False
     for attempt in range(1, 10 * MAX_REGEN + 1):
         if attempt > 1 and (attempt - 1) % MAX_REGEN == 0:

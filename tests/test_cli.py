@@ -1,5 +1,6 @@
 """Config parsing and command-line behavior."""
 
+import math
 import os
 import subprocess
 import sys
@@ -42,11 +43,9 @@ n_trials = 1000
 n_cal = 200
 master_seed = 1
 record_len = 1048576
-zero_value_tol = 0.001
+value_tol = 0.001
 slope_tol = 0.01
-s3_value_tol = 0.001
 s3_value_fraction = 0.5
-random_state = false
 steady_duration = 6.4
 jobs = 1
 out_dir = out
@@ -57,9 +56,8 @@ NON_DEFAULT = {
     "r_h": "12000", "r_l": "3000", "z0": "75", "temperature": "3e+15", "bandwidth": "4000",
     "t_f": "2e-05", "dt_divisor": "50", "scenarios": "2,4", "tau_multipliers": "1,3",
     "n_trials": "7", "n_cal": "60", "master_seed": "5", "record_len": "65536",
-    "zero_value_tol": "0.002", "slope_tol": "0.02", "s3_value_tol": "0.003",
-    "s3_value_fraction": "0.25", "random_state": "true", "steady_duration": "1.5",
-    "jobs": "2", "out_dir": "elsewhere",
+    "value_tol": "0.002", "slope_tol": "0.02", "s3_value_fraction": "0.25",
+    "steady_duration": "1.5", "jobs": "2", "out_dir": "elsewhere",
 }
 
 
@@ -106,12 +104,6 @@ class TestParseConfig:
         with pytest.raises(ValueError, match="key = value"):
             parse_config("this is not a config line")
 
-    def test_bool_values(self):
-        assert parse_config("random_state = true").random_state
-        assert not parse_config("random_state = off").random_state
-        with pytest.raises(ValueError, match="random_state"):
-            parse_config("random_state = maybe")
-
     def test_round_trip_through_to_text(self):
         cfg = parse_config(FAST_CFG)
         assert parse_config(cfg.to_text()) == cfg
@@ -134,13 +126,13 @@ class TestParseConfig:
         assert cfg.to_text() == text
         assert cfg.physical.fly_time == 2e-5 and cfg.physical.dt_divisor == 50
         assert cfg.search.record_len == 65536 and cfg.search.s3_value_fraction == 0.25
-        assert cfg.scenarios == (2, 4) and cfg.random_state and cfg.out_dir == "elsewhere"
+        assert cfg.scenarios == (2, 4) and cfg.out_dir == "elsewhere"
 
     @pytest.mark.parametrize("key, named", [
         ("r_h", "r_h"), ("r_l", "r_l"), ("z0", "z0"), ("temperature", "temperature"),
-        ("bandwidth", "bandwidth"), ("t_f", "fly_time"), ("zero_value_tol", "zero_value_tol"),
-        ("slope_tol", "slope_tol"), ("s3_value_tol", "s3_value_tol"),
-        ("s3_value_fraction", "s3_value_fraction"), ("steady_duration", "steady_duration"),
+        ("bandwidth", "bandwidth"), ("t_f", "fly_time"), ("value_tol", "value_tol"),
+        ("slope_tol", "slope_tol"), ("s3_value_fraction", "s3_value_fraction"),
+        ("steady_duration", "steady_duration"),
     ])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_value_rejected(self, key, named, value):
@@ -166,9 +158,16 @@ class TestParseConfig:
            ))
     def test_fuzz_parses_or_names_the_key(self, key, value):
         try:
-            parse_config(f"{key} = {value}")
+            cfg = parse_config(f"{key} = {value}")
         except ValueError as exc:
             assert key in str(exc) or (key == "t_f" and "fly_time" in str(exc))
+        else:
+            assert all(math.isfinite(tau) for tau in cfg.taus())
+
+    @pytest.mark.parametrize("key", ["zero_value_tol", "s3_value_tol", "random_state"])
+    def test_removed_keys_are_unknown(self, key):
+        with pytest.raises(ValueError, match=f"unknown config key: '{key}'"):
+            parse_config(f"{key} = 0.001")
 
     def test_out_dir_key(self, tmp_path):
         cfg = parse_config(f"out_dir = {tmp_path}/from_key\n" + FAST_CFG + "scenarios = 1\n")
@@ -284,9 +283,35 @@ class TestMain:
         assert "duration 1000000000.0 s plans 4768371582 segments" in err
         assert "maximum of 1000; the largest accepted duration is about 209.715 s" in err
 
+    @pytest.mark.parametrize("config, duration, message", [
+        # the line-engine check alone would take 1.2e6 oracle calls
+        ("dt_divisor = 100000", "6.4", "plans 30518 segments per state"),
+        ("dt_divisor = 1000000", "6.4", "asks the line-engine check for 12000000 samples"),
+        # only 95 segments, but the line-engine check would need 1.2e10 samples
+        ("t_f = 1\ndt_divisor = 1000000000", "0.2",
+         "12000000000 samples (12 fly times), above the maximum of 2097152"),
+    ], ids=["segments", "oracle", "oracle-long-fly-time"])
+    def test_validate_fine_grid_exit_two_at_once(self, tmp_path, capsys, config, duration,
+                                                 message):
+        t0 = time.perf_counter()
+        rc = main(["validate", "--config", _write(tmp_path, config), "--duration", duration,
+                   "--out", str(tmp_path / "out")])
+        elapsed = time.perf_counter() - t0
+        out, err = capsys.readouterr()
+        assert rc == 2 and elapsed < 1.0 and out == ""
+        assert message in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_tables_overflowing_tau_exit_two(self, tmp_path, capsys):
+        cfg = _write(tmp_path, "tau_multipliers = 1" + "0" * 400 + "\n")
+        rc = main(["tables", "--config", cfg, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2 and "Traceback" not in err
+        assert "tau_multipliers times t_f must be finite" in err
+
     def test_unreachable_search_exit_two(self, tmp_path, capsys):
         cfg_file = tmp_path / "run.cfg"
-        cfg_file.write_text(FAST_CFG + "scenarios = 2\nzero_value_tol = 1e-12\n")
+        cfg_file.write_text(FAST_CFG + "scenarios = 2\nvalue_tol = 1e-12\n")
         rc = main(["tables", "--config", str(cfg_file), "--out", str(tmp_path / "out")])
         assert rc == 2
         assert "no start point in 100 records" in capsys.readouterr().err

@@ -239,7 +239,7 @@ class TestPrepareGenerators:
         synthesize = protocol.synthesize_record
         monkeypatch.setattr(protocol, "synthesize_record",
                             lambda *args: calls.append(1) or synthesize(*args))
-        params = SearchParams(record_len=2**16, zero_value_tol=1e-12)
+        params = SearchParams(record_len=2**16, value_tol=1e-12)
         with pytest.raises(ValueError, match=r"no start point in 100 records .* 1e-12 x RMS"):
             prepare_generators(scenario, BitState.HL, CFG, 19, 400, params)
         assert len(calls) == 10 * MAX_REGEN
