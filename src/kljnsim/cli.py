@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .line import lattice_step_response, run_transient
-from .montecarlo import run_experiment, trial_waveforms, validate_steady_state
+from .montecarlo import _plan_segments, run_experiment, trial_waveforms, validate_steady_state
 from .protocol import PhysicalConfig, ScenarioKind, SearchParams, _require_finite_positive
 
 __all__ = ["RunConfig", "parse_config", "cmd_tables", "cmd_waveforms", "cmd_validate", "main"]
@@ -87,8 +87,8 @@ def _leaves(obj, path: tuple[str, ...] = ()):
 
 
 def _format(value) -> str:
-    if isinstance(value, float):
-        return f"{value:g}"
+    if isinstance(value, float):  # :g where it reads back as the same float
+        return f"{value:g}" if float(f"{value:g}") == value else repr(value)
     if isinstance(value, tuple):
         return ",".join(str(v) for v in value)
     return str(value)
@@ -235,7 +235,8 @@ def _line_oracle_ok(p: PhysicalConfig, n: int) -> tuple[bool, str]:
 def cmd_validate(cfg: RunConfig) -> tuple[bool, str]:
     """Run the steady-state identity checks plus the line-engine oracle check.
 
-    Every input check runs before either check's work starts.
+    Every input check runs before the output directory is made and before
+    either check's work starts.
     """
     n_oracle = 12 * cfg.physical.dt_divisor
     if n_oracle > MAX_ORACLE_SAMPLES:
@@ -243,6 +244,8 @@ def cmd_validate(cfg: RunConfig) -> tuple[bool, str]:
             f"dt_divisor {cfg.physical.dt_divisor} asks the line-engine check for {n_oracle} "
             f"samples (12 fly times), above the maximum of {MAX_ORACLE_SAMPLES}"
         )
+    _plan_segments(cfg.physical, cfg.steady_duration)
+    out_dir = _prepare_out_dir(cfg)
     report = validate_steady_state(cfg.physical, cfg.steady_duration, cfg.master_seed)
     oracle_ok, oracle_line = _line_oracle_ok(cfg.physical, n_oracle)
     text = "\n".join([
@@ -251,7 +254,7 @@ def cmd_validate(cfg: RunConfig) -> tuple[bool, str]:
         report.render(),
         f"overall: {'pass' if oracle_ok and report.all_ok else 'FAIL'}",
     ])
-    (_prepare_out_dir(cfg) / "validation.txt").write_text(text + "\n")
+    (out_dir / "validation.txt").write_text(text + "\n")
     return oracle_ok and report.all_ok, text
 
 
@@ -286,11 +289,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _load_config(args)
-    except (ValueError, OSError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
         if args.command == "tables":
             cmd_tables(cfg)
             return 0
@@ -298,7 +296,7 @@ def main(argv=None) -> int:
             cmd_waveforms(cfg, args.scenario)
             return 0
         ok, text = cmd_validate(cfg)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     print(text)

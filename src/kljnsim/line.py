@@ -19,9 +19,10 @@ downstream makes voltage- and current-based eavesdropper decisions agree
 exactly for observation windows inside the first fly time.
 
 ``run_transient`` evaluates the same recurrence in blocks of one fly time:
-every sample in a block depends only on waves emitted at least one full
-delay earlier, so each block is computable with vectorized elementwise
-operations that perform the identical IEEE arithmetic as the scalar update.
+every sample in a block depends only on the waves the far end emitted during
+the previous block, so one block of waves is in flight at a time and each
+block is computable with vectorized elementwise operations that perform the
+identical IEEE arithmetic as the scalar update.
 """
 
 from __future__ import annotations
@@ -90,33 +91,27 @@ def _propagate(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Blocked traveling-wave recurrence from a cold start.
 
-    Bitwise identical to evaluating the per-end update above one sample at
-    a time.
+    Only one block of waves is in flight: the waves arriving at each end
+    during a block are the far end's emissions of the previous block, and
+    zeros during the first.  Bitwise identical to evaluating the per-end
+    update above one sample at a time.
     """
     n = len(u_a)
     v_a = np.empty(n)
     v_b = np.empty(n)
     i_a = np.empty(n)
     i_b = np.empty(n)
-    out_a = np.empty(n)
-    out_b = np.empty(n)
     div_a = r_a + z0
     div_b = r_b + z0
-    idle = np.zeros(delay_steps)
+    arr_a = arr_b = np.zeros(min(delay_steps, n))
     for start in range(0, n, delay_steps):
         end = min(start + delay_steps, n)
-        if start >= delay_steps:
-            arr_a = out_b[start - delay_steps : end - delay_steps]
-            arr_b = out_a[start - delay_steps : end - delay_steps]
-        else:
-            arr_a = idle[: end - start]
-            arr_b = arr_a
+        arr_a, arr_b = arr_a[: end - start], arr_b[: end - start]
         ia = (u_a[start:end] - arr_a) / div_a
         va = z0 * ia + arr_a
         ib = (u_b[start:end] - arr_b) / div_b
         vb = z0 * ib + arr_b
-        out_a[start:end] = va + z0 * ia
-        out_b[start:end] = vb + z0 * ib
+        arr_a, arr_b = vb + z0 * ib, va + z0 * ia
         v_a[start:end] = va
         i_a[start:end] = ia
         v_b[start:end] = vb

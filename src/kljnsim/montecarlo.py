@@ -372,6 +372,25 @@ def _steady_segments(
     return np.array(v2), np.array(i2), np.array(p)
 
 
+def _plan_segments(config: PhysicalConfig, duration: float) -> int:
+    """Segments per state for ``duration`` s of ``validate_steady_state``, or ValueError."""
+    if not math.isfinite(duration):
+        raise ValueError(f"duration must be finite, got {duration} s")
+    min_duration = 1000.0 / config.bandwidth
+    if duration < min_duration:
+        raise ValueError(f"duration {duration} s is below the minimum {min_duration} s (1000/B)")
+    seg_duration = 2**21 * config.dt
+    planned = duration / seg_duration  # may be inf; round() takes 1000.5 to 1000
+    if planned > MAX_SEGMENTS + 0.5:
+        count = round(planned) if planned < 1e15 else f"{planned:.3g}"
+        raise ValueError(
+            f"duration {duration} s plans {count} segments per state, above the maximum of "
+            f"{MAX_SEGMENTS}; the largest accepted duration is about "
+            f"{MAX_SEGMENTS * seg_duration:g} s"
+        )
+    return max(1, round(planned))
+
+
 def validate_steady_state(config: PhysicalConfig, duration: float, seed: int) -> SteadyStateReport:
     """Long-run check of the passive-security identities.
 
@@ -385,22 +404,9 @@ def validate_steady_state(config: PhysicalConfig, duration: float, seed: int) ->
     standard errors.  A duration that plans more than MAX_SEGMENTS segments
     per state is rejected.
     """
-    if not math.isfinite(duration):
-        raise ValueError(f"duration must be finite, got {duration} s")
-    min_duration = 1000.0 / config.bandwidth
-    if duration < min_duration:
-        raise ValueError(
-            f"duration {duration} s is below the minimum {min_duration} s (1000/B)"
-        )
+    n_seg = _plan_segments(config, duration)
     seg_samples = 2**21
     seg_duration = seg_samples * config.dt
-    n_seg = max(1, round(duration / seg_duration))
-    if n_seg > MAX_SEGMENTS:
-        raise ValueError(
-            f"duration {duration} s plans {n_seg} segments per state, above the maximum of "
-            f"{MAX_SEGMENTS}; the largest accepted duration is about "
-            f"{MAX_SEGMENTS * seg_duration:g} s"
-        )
     gamma_prod = reflection_coefficient(config.r_h, config.z0) * reflection_coefficient(
         config.r_l, config.z0
     )

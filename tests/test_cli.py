@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kljnsim
-from kljnsim.cli import RunConfig, cmd_tables, cmd_waveforms, main, parse_config
+from kljnsim.cli import RunConfig, _leaves, cmd_tables, cmd_waveforms, main, parse_config
 
 FAST_CFG = """
 # compact setup for command tests
@@ -164,6 +164,18 @@ class TestParseConfig:
         else:
             assert all(math.isfinite(tau) for tau in cfg.taus())
 
+    @settings(max_examples=400, deadline=None)
+    @given(key=st.sampled_from([key for key, _, value in _leaves(RunConfig())
+                                if isinstance(value, float)]),
+           value=st.floats(allow_nan=False, allow_infinity=False))
+    def test_float_keys_round_trip_exactly(self, key, value):
+        # effective_config.txt must reproduce the run bit for bit
+        try:
+            cfg = parse_config(f"{key} = {value!r}")
+        except ValueError:
+            return
+        assert parse_config(cfg.to_text()) == cfg
+
     @pytest.mark.parametrize("key", ["zero_value_tol", "s3_value_tol", "random_state"])
     def test_removed_keys_are_unknown(self, key):
         with pytest.raises(ValueError, match=f"unknown config key: '{key}'"):
@@ -282,6 +294,31 @@ class TestMain:
         assert rc == 2 and elapsed < 1.0 and out == ""
         assert "duration 1000000000.0 s plans 4768371582 segments" in err
         assert "maximum of 1000; the largest accepted duration is about 209.715 s" in err
+
+    @pytest.mark.parametrize("duration, planned", [
+        (1e300, "plans 4.77e+300 segments"), (1e308, "plans inf segments"),
+        (sys.float_info.max, "plans inf segments"),
+    ], ids=["1e300", "1e308", "float-max"])
+    def test_validate_overflowing_duration_exit_two(self, tmp_path, capsys, duration, planned):
+        rc = main(["validate", "--duration", repr(duration), "--out", str(tmp_path / "out")])
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == ""
+        assert planned in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, out", [
+        (["tables"], "file"),
+        (["waveforms", "--scenario", "1"], "file/sub"),
+        (["validate"], "file"),
+    ], ids=["tables", "waveforms", "validate"])
+    def test_unusable_out_exit_two_at_once(self, tmp_path, capsys, command, out):
+        (tmp_path / "file").write_text("")
+        t0 = time.perf_counter()
+        rc = main(command + ["--out", str(tmp_path / out)])
+        elapsed = time.perf_counter() - t0
+        err = capsys.readouterr().err
+        assert rc == 2 and elapsed < 1.0
+        assert "configuration error" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("config, duration, message", [
         # the line-engine check alone would take 1.2e6 oracle calls

@@ -8,6 +8,7 @@ per-step update.
 """
 
 import math
+import tracemalloc
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -268,6 +269,19 @@ class TestRunTransient:
         for k in range(n):
             ea, eb = line.step(u_a[k], R_H, u_b[k], R_L)
             assert (ea.v, ea.i, eb.v, eb.i) == (v_a[k], i_a[k], v_b[k], i_b[k])
+
+    def test_keeps_one_block_of_waves_in_flight(self):
+        # peak memory: the four outputs plus less than one more full-length array
+        n = 2**16
+        rng = np.random.default_rng(47)
+        u_a, u_b = rng.normal(size=n), rng.normal(size=n)
+        tracemalloc.start()
+        try:
+            _propagate(u_a, u_b, R_H, R_L, Z0, D)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * n * 8
 
     def test_drive_length_mismatch_raises(self):
         with pytest.raises(ValueError, match="equally long"):
