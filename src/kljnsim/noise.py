@@ -11,7 +11,10 @@ Each record is normalized so its *sample* RMS equals the requested target
 exactly.  With the default parameters a record holds only ~524 in-band
 frequency bins, so an ensemble-normalized record would show a ~2% RMS
 spread between seeds; the exchange protocol (and its tolerance checks)
-assume both parties know the generator amplitudes exactly.
+assume both parties know the generator amplitudes exactly.  By Parseval
+that normalization needs only the coefficients, so a short window of a
+record (a random start plays a few hundred samples) is computed directly
+from the in-band bins by ``synthesize_window``, without the full record.
 
 The start-point search implements the defense: scan a pre-generated record
 for the earliest sample matching a target value and target slope within
@@ -21,6 +24,7 @@ Gaussian record yields an equally valid sample path).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -35,11 +39,15 @@ __all__ = [
     "slope_rms",
     "in_band_bins",
     "synthesize_record",
+    "synthesize_window",
     "estimate_slope",
     "find_start_point",
 ]
 
 BOLTZMANN = Boltzmann  # 1.380649e-23 J/K, exact SI value
+
+# Samples the start-point search scans at a time before it looks for a match.
+SEARCH_BLOCK = 2**15
 
 
 def johnson_rms(temperature: float, resistance: float, bandwidth: float) -> float:
@@ -119,23 +127,15 @@ def in_band_bins(n: int, dt: float, bandwidth: float) -> int:
     return int(math.floor(bandwidth * n * dt))
 
 
-def synthesize_record(
+def _in_band_coefficients(
     seed: int | np.random.SeedSequence,
     n: int,
     dt: float,
     bandwidth: float,
     sigma: float,
-) -> NoiseRecord:
-    """Synthesize a stationary Gaussian record with a flat spectrum on (0, B].
-
-    Frequency-domain construction: bins k = 1 .. floor(B*n*dt) receive
-    independent complex unit Gaussians, all other bins (including DC and
-    everything above B) stay exactly zero; an inverse real FFT produces the
-    samples, which are then scaled so the sample RMS equals ``sigma``.
-
-    Deterministic given the seed.  Requires n >= 2, at least ten in-band
-    bins (n*dt*B >= 10) and B below the Nyquist frequency 1/(2*dt).
-    """
+) -> np.ndarray | None:
+    """Check the synthesis inputs and draw the complex coefficients of bins
+    1 .. floor(B*n*dt) for ``seed``; None when sigma is zero (a zero record)."""
     if n < 2:
         raise ValueError(f"record length must be >= 2, got {n}")
     if dt <= 0 or bandwidth <= 0:
@@ -155,12 +155,84 @@ def synthesize_record(
         )
     rng = np.random.default_rng(seed)
     if sigma == 0.0:
-        return NoiseRecord(np.zeros(n), dt, 0.0)
+        return None
+    return rng.standard_normal(n_bins) + 1j * rng.standard_normal(n_bins)
+
+
+def _irfft_samples(coeffs: np.ndarray, n: int, sigma: float) -> np.ndarray:
+    """The n samples of the in-band coefficients, scaled to sample RMS sigma."""
     spectrum = np.zeros(n // 2 + 1, dtype=complex)
-    spectrum[1 : n_bins + 1] = rng.standard_normal(n_bins) + 1j * rng.standard_normal(n_bins)
+    spectrum[1 : len(coeffs) + 1] = coeffs
     samples = np.fft.irfft(spectrum, n)
     samples *= sigma / math.sqrt(float(np.mean(samples * samples)))
-    return NoiseRecord(samples, dt, sigma)
+    return samples
+
+
+def synthesize_record(
+    seed: int | np.random.SeedSequence,
+    n: int,
+    dt: float,
+    bandwidth: float,
+    sigma: float,
+) -> NoiseRecord:
+    """Synthesize a stationary Gaussian record with a flat spectrum on (0, B].
+
+    Frequency-domain construction: bins k = 1 .. floor(B*n*dt) receive
+    independent complex unit Gaussians, all other bins (including DC and
+    everything above B) stay exactly zero; an inverse real FFT produces the
+    samples, which are then scaled so the sample RMS equals ``sigma``.
+
+    Deterministic given the seed.  Requires n >= 2, at least ten in-band
+    bins (n*dt*B >= 10) and B below the Nyquist frequency 1/(2*dt).
+    """
+    coeffs = _in_band_coefficients(seed, n, dt, bandwidth, sigma)
+    if coeffs is None:
+        return NoiseRecord(np.zeros(n), dt, 0.0)
+    return NoiseRecord(_irfft_samples(coeffs, n, sigma), dt, sigma)
+
+
+@functools.lru_cache(maxsize=4)
+def _phase_matrix(n: int, n_bins: int, count: int) -> np.ndarray:
+    """exp(2*pi*i*j*k/n) for rows j < count and bins k = 1 .. n_bins, with
+    j*k reduced mod n in integers before it becomes an angle (read-only)."""
+    j = np.arange(count)[:, None]
+    k = np.arange(1, n_bins + 1)
+    phases = np.exp((2j * math.pi / n) * ((j * k) % n))
+    phases.flags.writeable = False
+    return phases
+
+
+def synthesize_window(
+    seed: int | np.random.SeedSequence,
+    n: int,
+    dt: float,
+    bandwidth: float,
+    sigma: float,
+    start: int,
+    count: int,
+) -> np.ndarray:
+    """Samples start .. start+count-1 of ``synthesize_record`` for the same
+    arguments, without synthesizing the other samples.
+
+    The coefficients X_k are drawn as ``synthesize_record`` draws them, and
+    sample m is the inverse FFT sum at m alone, with the Parseval scale:
+    sigma*sqrt(2)*Re sum_k X_k exp(2*pi*i*k*m/n) / sqrt(sum_k |X_k|^2).  It
+    matches the record's slice to about 1e-14 of sigma.  A window longer
+    than n / n_bins samples (about 1/(B*dt)) would cost more than the whole
+    record, and is cut from ``synthesize_record``'s samples, bit for bit.
+    """
+    coeffs = _in_band_coefficients(seed, n, dt, bandwidth, sigma)
+    if not (0 <= start and 1 <= count and start + count <= n):
+        raise ValueError(f"window of {count} samples from {start} is not inside {n} samples")
+    if coeffs is None:
+        return np.zeros(count)
+    n_bins = len(coeffs)
+    if count * n_bins > n:
+        return _irfft_samples(coeffs, n, sigma)[start : start + count].copy()
+    shift = np.exp((2j * math.pi / n) * ((np.arange(1, n_bins + 1) * start) % n))
+    sums = _phase_matrix(n, n_bins, count) @ (coeffs * shift)
+    power = float(np.sum(coeffs.real**2 + coeffs.imag**2))
+    return (sigma * math.sqrt(2.0 / power)) * sums.real
 
 
 def estimate_slope(record: NoiseRecord, index: int | np.ndarray) -> float | np.ndarray:
@@ -207,33 +279,32 @@ def find_start_point(
             raise ValueError("slope_tol_rel must be positive")
     s = record.samples
     hi = min(max_index, len(s) - 2)
-    if hi < 1:
-        return None
     window = value_tol_rel * record.target_rms
-    # One scan of the record: | |s| - |target_value| | <= window holds for
-    # every sample within the window of +target_value or -target_value.  Each
-    # sign's own conditions are then tested on these candidates only.
-    dist = np.abs(s[1 : hi + 1])
-    if target_value != 0.0:
-        dist -= abs(target_value)
-        np.abs(dist, out=dist)
-    near = dist <= window
-    # Freed before the candidate arrays are made, so that they cannot pin the
-    # heap above it (that adds the buffer's 8 MiB to a run's peak RSS).
-    del dist
-    candidates = np.flatnonzero(near) + 1
-    if candidates.size == 0:
-        return None
-    values = s[candidates]
-    slopes = estimate_slope(record, candidates)
-    hits = []
-    for sign in (1.0, -1.0):
-        hit = np.abs(values - sign * target_value) <= window
-        if target_slope is not None:
-            hit &= np.abs(slopes / (sign * target_slope) - 1.0) <= slope_tol_rel
-        hits.append(hit)
-    either = np.flatnonzero(hits[0] | hits[1])
-    if either.size == 0:
+    # The record is scanned in blocks up to the first block that holds a
+    # match of either sign, whose earliest match is then the earliest of all.
+    # | |s| - |target_value| | <= window holds for every sample within the
+    # window of +target_value or -target_value; each sign's own conditions
+    # are then tested on these candidates only.
+    for lo in range(1, hi + 1, SEARCH_BLOCK):
+        dist = np.abs(s[lo : min(lo + SEARCH_BLOCK, hi + 1)])
+        if target_value != 0.0:
+            dist -= abs(target_value)
+            np.abs(dist, out=dist)
+        candidates = np.flatnonzero(dist <= window) + lo
+        if candidates.size == 0:
+            continue
+        values = s[candidates]
+        slopes = estimate_slope(record, candidates)
+        hits = []
+        for sign in (1.0, -1.0):
+            hit = np.abs(values - sign * target_value) <= window
+            if target_slope is not None:
+                hit &= np.abs(slopes / (sign * target_slope) - 1.0) <= slope_tol_rel
+            hits.append(hit)
+        either = np.flatnonzero(hits[0] | hits[1])
+        if either.size:
+            break
+    else:
         return None
     first = either[0]
     index, negate = int(candidates[first]), not hits[0][first]

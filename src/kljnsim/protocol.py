@@ -28,11 +28,11 @@ import numpy as np
 
 from .noise import (
     StartPoint,
-    estimate_slope,
     find_start_point,
     johnson_rms,
     slope_rms,
     synthesize_record,
+    synthesize_window,
 )
 
 __all__ = [
@@ -212,20 +212,37 @@ def _prepare_party(
     seed: np.random.SeedSequence,
     n_steps: int,
 ) -> GeneratorDrive:
-    """Synthesize records until a qualifying start point is found.
+    """Pick the party's start point and the samples it plays from there.
 
-    Up to MAX_REGEN fresh records are tried at the base tolerances; after
-    that the slope tolerance (and the value tolerance, for value-targeted
-    searches wider than the zero window) doubles every further MAX_REGEN
-    records, and the achieved tolerances stay auditable in the StartPoint.
-    The zero window never loosens, so after 10 * MAX_REGEN records the
-    search gives up with a ValueError naming the targets and the
-    tolerances it last tried.
+    A random start draws its index first and synthesizes only the window
+    [index - 1, index + n_steps] of its record: the played samples and one
+    neighbour on each side for the central-difference slope.
+
+    A searched start synthesizes whole records until one holds a qualifying
+    start point.  Up to MAX_REGEN fresh records are tried at the base
+    tolerances; after that the slope tolerance (and the value tolerance, for
+    value-targeted searches wider than the zero window) doubles every
+    further MAX_REGEN records, and the achieved tolerances stay auditable in
+    the StartPoint.  The zero window never loosens, so after
+    10 * MAX_REGEN records the search gives up with a ValueError naming the
+    targets and the tolerances it last tried.
     """
     n = params.record_len
     max_start = n - 1 - n_steps
     if max_start < 1:
         raise ValueError(f"record_len {n} too short for {n_steps} transient steps")
+    if targets.target_value is None:
+        child = seed.spawn(1)[0]
+        rng = np.random.default_rng(child.spawn(1)[0])
+        index = int(rng.integers(1, max_start + 1))
+        window = synthesize_window(
+            child, n, config.dt, config.bandwidth, targets.sigma, index - 1, n_steps + 2
+        )
+        slope = float((window[2] - window[0]) / (2.0 * config.dt))
+        start = StartPoint(index, float(window[1]), slope, math.nan, math.nan)
+        # A copy, so the played samples own their memory, as a searched
+        # start's do.
+        return GeneratorDrive(start, window[1 : 1 + n_steps].copy())
     value_tol = params.value_tol
     slope_tol = params.slope_tol
     loosened = False
@@ -237,18 +254,11 @@ def _prepare_party(
                 value_tol *= 2.0
         child = seed.spawn(1)[0]
         record = synthesize_record(child, n, config.dt, config.bandwidth, targets.sigma)
-        if targets.target_value is None:
-            rng = np.random.default_rng(child.spawn(1)[0])
-            index = int(rng.integers(1, max_start + 1))
-            slope = float(estimate_slope(record, index))
-            start = StartPoint(index, float(record.samples[index]), slope, math.nan, math.nan)
-        else:
-            start = find_start_point(
-                record, targets.target_value, value_tol, targets.target_slope, slope_tol,
-                max_start,
-            )
-            if start is None:
-                continue
+        start = find_start_point(
+            record, targets.target_value, value_tol, targets.target_slope, slope_tol, max_start
+        )
+        if start is None:
+            continue
         # A copy, so the played samples do not keep the whole record alive.
         played = record.samples[start.index : start.index + n_steps]
         played = -played if start.negate else played.copy()

@@ -16,12 +16,14 @@ from scipy.optimize import brentq
 
 from kljnsim.noise import (
     BOLTZMANN,
+    SEARCH_BLOCK,
     NoiseRecord,
     estimate_slope,
     find_start_point,
     johnson_rms,
     slope_rms,
     synthesize_record,
+    synthesize_window,
 )
 
 T, B = 7e15, 5e3
@@ -159,6 +161,62 @@ class TestSynthesizeRecord:
     def test_rejects_tiny_record(self):
         with pytest.raises(ValueError):
             synthesize_record(0, 1, DT, B, 1.0)
+
+
+class TestSynthesizeWindow:
+    """synthesize_window against the slice of the full inverse-FFT record."""
+
+    N_STEPS = 400
+
+    @pytest.mark.parametrize("n", [2**16, 2**20])
+    def test_matches_record_slice(self, n):
+        count = self.N_STEPS + 2
+        sigmas = (johnson_rms(T, R_H, B), johnson_rms(T, R_L, B))
+        worst = 0.0
+        for seed in range(50):
+            sigma = sigmas[seed % 2]
+            record = synthesize_record(np.random.SeedSequence(seed), n, DT, B, sigma).samples
+            random_start = int(np.random.default_rng(seed).integers(1, n - count))
+            for start in (1, random_start, n - 1 - self.N_STEPS):
+                window = synthesize_window(
+                    np.random.SeedSequence(seed), n, DT, B, sigma, start - 1, count
+                )
+                assert window.shape == (count,)
+                deviation = np.max(np.abs(window - record[start - 1 : start - 1 + count]))
+                worst = max(worst, deviation / sigma)
+        assert worst <= 1e-12
+
+    def test_zero_sigma_gives_zeros(self):
+        window = synthesize_window(3, 2**16, DT, B, 0.0, 100, 402)
+        assert window.shape == (402,) and not window.any()
+
+    def test_long_window_is_the_record_slice_bitwise(self):
+        # 2^16 samples hold 32 in-band bins, so 2100 samples would cost more
+        # than the inverse FFT of the whole record
+        n, sigma = 2**16, 1.9661681515068847
+        record = synthesize_record(np.random.SeedSequence(5), n, DT, B, sigma).samples
+        for start, count in ((1, n - 2), (700, 2100)):
+            window = synthesize_window(np.random.SeedSequence(5), n, DT, B, sigma, start, count)
+            assert window.tobytes() == record[start : start + count].tobytes()
+
+    @pytest.mark.parametrize("args", [
+        (0, 2**15, DT, 0.5 / DT, 1.0),  # band at Nyquist
+        (0, 2**10, DT, B, 1.0),  # too few in-band bins
+        (0, 1, DT, B, 1.0),  # tiny record
+        (0, 2**15, -DT, B, 1.0),
+        (0, 2**15, DT, B, -1.0),
+    ])
+    def test_rejects_what_synthesize_record_rejects(self, args):
+        with pytest.raises(ValueError) as record_error:
+            synthesize_record(*args)
+        with pytest.raises(ValueError) as window_error:
+            synthesize_window(*args, 0, 2)
+        assert str(window_error.value) == str(record_error.value)
+
+    @pytest.mark.parametrize("start, count", [(-1, 10), (0, 0), (2**15 - 9, 10)])
+    def test_rejects_window_outside_record(self, start, count):
+        with pytest.raises(ValueError, match="not inside"):
+            synthesize_window(0, 2**15, DT, B, 1.0, start, count)
 
 
 class TestEstimateSlope:
@@ -339,6 +397,34 @@ def test_one_pass_search_matches_two_pass_reference():
     assert not mismatches
     # both signs win somewhere, so the comparison covers the tie rule
     assert len(found) > 400 and any(found) and not all(found)
+
+
+def _ramp_hits(n, hits):
+    """A record of ones (far outside any zero window) with a zero of central
+    slope sign * 0.1/DT at each (index, sign) of ``hits``."""
+    s = np.ones(n)
+    for index, sign in hits:
+        s[index - 1 : index + 2] = (-0.1 * sign, 0.0, 0.1 * sign)
+    return NoiseRecord(s, DT, 1.0)
+
+
+@pytest.mark.parametrize("hits, max_index, want", [
+    # the first hit is the last sample of the first block
+    ([(SEARCH_BLOCK, -1.0), (SEARCH_BLOCK + 4, 1.0)], None, (SEARCH_BLOCK, True)),
+    # the first hit is the first sample of the second block
+    ([(SEARCH_BLOCK + 1, 1.0), (SEARCH_BLOCK + 5, -1.0)], None, (SEARCH_BLOCK + 1, False)),
+    # max_index cuts the second block just before, and just at, the only hit
+    ([(SEARCH_BLOCK + 101, 1.0)], SEARCH_BLOCK + 100, None),
+    ([(SEARCH_BLOCK + 101, -1.0)], SEARCH_BLOCK + 101, (SEARCH_BLOCK + 101, True)),
+])
+def test_block_scan_edges_match_two_pass_reference(hits, max_index, want):
+    n = 3 * SEARCH_BLOCK
+    rec = _ramp_hits(n, hits)
+    max_index = n - 2 if max_index is None else max_index
+    args = (0.0, 1e-3, 0.1 / DT, 1e-2, max_index)
+    start = find_start_point(rec, *args)
+    got = None if start is None else (start.index, start.negate)
+    assert got == want == _two_pass_search(rec, *args)
 
 
 def test_boltzmann_constant_is_exact_si():

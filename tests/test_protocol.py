@@ -21,7 +21,7 @@ from kljnsim.protocol import (
     slope_ratio,
     steady_state_levels,
 )
-from kljnsim.noise import johnson_rms, slope_rms
+from kljnsim.noise import estimate_slope, johnson_rms, slope_rms, synthesize_record
 
 CFG = PhysicalConfig()
 # short records keep the search-based scenarios fast in unit tests; 2^18 still
@@ -43,6 +43,31 @@ def _prepare_with_records(monkeypatch, *args):
         drive_a, drive_b = prepare_generators(*args)
     assert len(records) == drive_a.attempts + drive_b.attempts
     return (drive_a, records[drive_a.attempts - 1]), (drive_b, records[-1])
+
+
+def _random_start_records(seed, n_steps, params=FAST):
+    """The two scenario-1 drives of prepare_generators(seed), each paired
+    with the full record its seed path gives.
+
+    A random start synthesizes only the samples it plays, so the record is
+    rebuilt here: party p's record is synthesize_record() of
+    SeedSequence(seed).spawn(2)[p].spawn(1)[0].  Each drive must play its
+    record's slice from the start point, and report the record's value and
+    central-difference slope there, within 1e-12 of the record RMS (per dt
+    for the slope).
+    """
+    drives = prepare_generators(ScenarioKind.NO_DEFENSE, BitState.HL, CFG, seed, n_steps, params)
+    pairs = []
+    parties = zip(drives, np.random.SeedSequence(seed).spawn(2), BitState.HL.resistors(CFG))
+    for drive, party_seed, resistance in parties:
+        record = synthesize_record(party_seed.spawn(1)[0], params.record_len, CFG.dt,
+                                   CFG.bandwidth, CFG.sigma(resistance))
+        i, tol = drive.start.index, 1e-12 * record.target_rms
+        assert np.max(np.abs(drive.samples - record.samples[i : i + n_steps])) <= tol
+        assert abs(drive.start.value - record.samples[i]) <= tol
+        assert abs(drive.start.slope - estimate_slope(record, i)) <= tol / CFG.dt
+        pairs.append((drive, record))
+    return pairs
 
 
 class TestPhysicalConfig:
@@ -134,10 +159,8 @@ class TestBitState:
 
 
 class TestPrepareGenerators:
-    def test_record_rms_follows_resistor(self, monkeypatch):
-        (_, record_a), (_, record_b) = _prepare_with_records(
-            monkeypatch, ScenarioKind.NO_DEFENSE, BitState.HL, CFG, 11, 400, FAST
-        )
+    def test_record_rms_follows_resistor(self):
+        (_, record_a), (_, record_b) = _random_start_records(11, 400)
         assert record_a.target_rms == pytest.approx(4.611, abs=5e-4)
         assert record_b.target_rms == pytest.approx(1.9662, abs=5e-5)
         rms_a = math.sqrt(np.mean(record_a.samples ** 2))
@@ -190,18 +213,16 @@ class TestPrepareGenerators:
         assert abs(drive_a.start.value) <= 1e-3 * CFG.sigma(CFG.r_h)
         assert math.isnan(drive_a.start.achieved_slope_tol)
 
-    def test_deterministic(self, monkeypatch):
-        args = (ScenarioKind.NO_DEFENSE, BitState.HL, CFG, 17, 400, FAST)
-        (a1, record_a1), (b1, _) = _prepare_with_records(monkeypatch, *args)
-        (a2, record_a2), (b2, _) = _prepare_with_records(monkeypatch, *args)
+    def test_deterministic(self):
+        (a1, record_a1), (b1, _) = _random_start_records(17, 400)
+        (a2, record_a2), (b2, _) = _random_start_records(17, 400)
         assert a1.start == a2.start
         assert np.array_equal(record_a1.samples, record_a2.samples)
         assert b1.start == b2.start
+        assert np.array_equal(a1.samples, a2.samples) and np.array_equal(b1.samples, b2.samples)
 
-    def test_parties_use_independent_streams(self, monkeypatch):
-        (_, record_a), (_, record_b) = _prepare_with_records(
-            monkeypatch, ScenarioKind.NO_DEFENSE, BitState.HL, CFG, 18, 400, FAST
-        )
+    def test_parties_use_independent_streams(self):
+        (_, record_a), (_, record_b) = _random_start_records(18, 400)
         # same physics scaled: records must not be proportional to each other
         corr = np.corrcoef(record_a.samples, record_b.samples)[0, 1]
         assert abs(corr) < 0.2
