@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -54,9 +55,10 @@ __all__ = [
 _PHASE_CAL = 0
 _PHASE_EVAL = 1
 
-# Steady-state validation: relative tolerance of the wire-level checks, the
-# standard-error limit of the zero checks, and the most 2^21-sample segments
-# one state may plan.
+# Steady-state validation: samples per segment, relative tolerance of the
+# wire-level checks, the standard-error limit of the zero checks, and the
+# most segments one state may plan.
+SEGMENT_SAMPLES = 2**21
 LEVEL_TOLERANCE = 0.02
 SIGMA_LIMIT = 3.0
 MAX_SEGMENTS = 1000
@@ -119,6 +121,16 @@ def _run_trial(
     return rho_u, rho_i, coins, loosened
 
 
+def _window_steps(config: PhysicalConfig, fly_times: Sequence[int]) -> tuple[int, ...]:
+    """Sample count of each window of ``fly_times`` whole fly times, or ValueError."""
+    if len(fly_times) == 0:
+        raise ValueError("the window list must be nonempty")
+    for m in fly_times:
+        if not isinstance(m, (int, np.integer)) or m < 1:
+            raise ValueError(f"a window must be a positive whole number of fly times, got {m!r}")
+    return tuple(int(m) * config.dt_divisor for m in fly_times)
+
+
 def _run_chunk(run, tasks) -> list:
     return [run(phase, trial) for phase, trial in tasks]
 
@@ -156,8 +168,6 @@ class ExperimentSummary:
     p_ei: np.ndarray
     se_i: np.ndarray
     n_trials: int
-    n_cal: int
-    master_seed: int
     loosened_fraction: float
     signs: list[DecisionSign]
     decisions_v: np.ndarray = field(repr=False)
@@ -183,21 +193,20 @@ def trial_waveforms(
     scenario: ScenarioKind,
     trial: int,
     master_seed: int,
-    duration: float,
+    fly_times: int,
     params: SearchParams = SearchParams(),
 ) -> TrialWaveforms:
-    """Waveforms of one evaluation-phase trial in the HL state, built exactly
-    as run_experiment builds it (useful for dumping what an experiment saw)."""
-    if duration < config.dt:
-        raise ValueError(f"duration {duration} shorter than one timestep {config.dt}")
-    n_steps = int(round(duration / config.dt))
+    """Waveforms of one evaluation-phase trial in the HL state, ``fly_times``
+    whole fly times long, built exactly as run_experiment builds it (useful
+    for dumping what an experiment saw)."""
+    (n_steps,) = _window_steps(config, [fly_times])
     return _trial(config, scenario, _PHASE_EVAL, trial, master_seed, n_steps, params)[0]
 
 
 def run_experiment(
     config: PhysicalConfig,
     scenario: ScenarioKind,
-    tau_list,
+    tau_multipliers: Sequence[int],
     n_trials: int,
     master_seed: int,
     n_cal: int = 200,
@@ -206,29 +215,17 @@ def run_experiment(
 ) -> ExperimentSummary:
     """Calibrate Eve's signs, then estimate her per-window success probability.
 
-    Calibration runs ``n_cal`` labeled HL trials and evaluation runs
-    ``n_trials`` more, built the same way on their own streams.  A guess is
-    correct when it names HL; the two channels share one fallback coin per
-    (trial, window).  Both phases run in one pass, on one pool when
-    ``jobs`` > 1.
+    Eve's windows are ``tau_multipliers`` whole fly times.  Calibration runs
+    ``n_cal`` labeled HL trials and evaluation runs ``n_trials`` more, built
+    the same way on their own streams.  A guess is correct when it names HL;
+    the two channels share one fallback coin per (trial, window).  Both
+    phases run in one pass, on one pool when ``jobs`` > 1.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
     if n_cal < 50:
         raise ValueError(f"calibration needs n_cal >= 50, got {n_cal}")
-    taus = np.asarray(list(tau_list), dtype=float)
-    if len(taus) == 0:
-        raise ValueError("tau_list must be nonempty")
-    dt = config.dt
-    tau_steps = []
-    for tau in taus.tolist():
-        steps = tau / dt
-        near = round(steps) if math.isfinite(steps) else 0
-        if near < 1 or abs(steps - near) > 1e-9 * max(1.0, steps):
-            raise ValueError(f"tau={tau} is not a positive multiple of dt={dt}")
-        tau_steps.append(near)
-    tau_steps = tuple(tau_steps)
-
+    tau_steps = _window_steps(config, tau_multipliers)
     run = functools.partial(
         _run_trial, config, scenario, master_seed=master_seed, tau_steps=tau_steps,
         params=params,
@@ -237,7 +234,8 @@ def run_experiment(
         run, ((_PHASE_CAL, n_cal), (_PHASE_EVAL, n_trials)), jobs
     )
     signs = [
-        signs_from_calibration(rho_u[:n_cal, j], rho_i[:n_cal, j]) for j in range(len(taus))
+        signs_from_calibration(rho_u[:n_cal, j], rho_i[:n_cal, j])
+        for j in range(len(tau_steps))
     ]
     ok_v = decide([s.sign_u for s in signs], rho_u[n_cal:], coins[n_cal:])
     ok_i = decide([s.sign_i for s in signs], rho_i[n_cal:], coins[n_cal:])
@@ -245,14 +243,14 @@ def run_experiment(
     p_ei = ok_i.mean(axis=0)
     return ExperimentSummary(
         scenario=scenario,
-        taus=taus,
+        # built after the trials, so a window too long for any record fails
+        # in the search's length check before it could overflow a float
+        taus=np.array([m * config.fly_time for m in tau_multipliers]),
         p_ev=p_ev,
         se_v=np.array([standard_error(p, n_trials) for p in p_ev]),
         p_ei=p_ei,
         se_i=np.array([standard_error(p, n_trials) for p in p_ei]),
         n_trials=n_trials,
-        n_cal=n_cal,
-        master_seed=master_seed,
         loosened_fraction=float(np.mean(loosened[n_cal:])),
         signs=signs,
         decisions_v=ok_v,
@@ -379,7 +377,7 @@ def _plan_segments(config: PhysicalConfig, duration: float) -> int:
     min_duration = 1000.0 / config.bandwidth
     if duration < min_duration:
         raise ValueError(f"duration {duration} s is below the minimum {min_duration} s (1000/B)")
-    seg_duration = 2**21 * config.dt
+    seg_duration = SEGMENT_SAMPLES * config.dt
     planned = duration / seg_duration  # may be inf; round() takes 1000.5 to 1000
     if planned > MAX_SEGMENTS + 0.5:
         count = round(planned) if planned < 1e15 else f"{planned:.3g}"
@@ -405,7 +403,7 @@ def validate_steady_state(config: PhysicalConfig, duration: float, seed: int) ->
     per state is rejected.
     """
     n_seg = _plan_segments(config, duration)
-    seg_samples = 2**21
+    seg_samples = SEGMENT_SAMPLES
     seg_duration = seg_samples * config.dt
     gamma_prod = reflection_coefficient(config.r_h, config.z0) * reflection_coefficient(
         config.r_l, config.z0

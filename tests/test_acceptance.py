@@ -56,7 +56,7 @@ CFG = PhysicalConfig()
 MASTER_SEED = 1
 N_TRIALS = 1000
 N_CAL = 200
-TAUS = [m * CFG.fly_time for m in (1, 2, 3, 4)]
+TAUS = (1, 2, 3, 4)
 D = CFG.dt_divisor
 
 
@@ -133,7 +133,7 @@ def experiments():
         cells = "  ".join(
             f"tau={m}tf V:{summary.p_ev[j]:.3f}+-{summary.se_v[j]:.3f} "
             f"I:{summary.p_ei[j]:.3f}+-{summary.se_i[j]:.3f}"
-            for j, m in enumerate((1, 2, 3, 4))
+            for j, m in enumerate(TAUS)
         )
         print(
             f"\nscenario {int(scenario)} ({elapsed:.0f} s, loosened "
@@ -316,9 +316,9 @@ def test_criterion_09_exact_property_suite():
     for gamma in (0.25, 4.0):
         dv, di = decisions(gamma)
         temp_ok &= np.array_equal(dv, base_v) and np.array_equal(di, base_i)
-    wf_base = trial_waveforms(CFG, ScenarioKind.NO_DEFENSE, 0, MASTER_SEED, 2 * CFG.fly_time)
+    wf_base = trial_waveforms(CFG, ScenarioKind.NO_DEFENSE, 0, MASTER_SEED, 2)
     hot = PhysicalConfig(temperature=4.0 * CFG.temperature)
-    wf_hot = trial_waveforms(hot, ScenarioKind.NO_DEFENSE, 0, MASTER_SEED, 2 * CFG.fly_time)
+    wf_hot = trial_waveforms(hot, ScenarioKind.NO_DEFENSE, 0, MASTER_SEED, 2)
     temp_ok &= np.array_equal(wf_hot.v_a, 2.0 * wf_base.v_a)
     details.append(f"temperature scaling exact: {temp_ok}")
 
@@ -328,7 +328,7 @@ def test_criterion_09_exact_property_suite():
     u_a, u_b = rng.normal(size=n), rng.normal(size=n)
     fwd = run_transient(CFG, u_a, CFG.r_h, u_b, CFG.r_l)
     rev = run_transient(CFG, u_b, CFG.r_l, u_a, CFG.r_h)
-    tau_steps = [round(tau / CFG.dt) for tau in TAUS]
+    tau_steps = [m * D for m in TAUS]
     (fwd_u, fwd_i), (rev_u, rev_i) = window_stats(fwd, tau_steps), window_stats(rev, tau_steps)
     mirror_ok = np.array_equal(rev_u, -fwd_u) and np.array_equal(rev_i, -fwd_i)
     details.append(f"mirror antisymmetry exact: {mirror_ok}")

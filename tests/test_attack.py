@@ -10,7 +10,6 @@ from kljnsim.protocol import PhysicalConfig, ScenarioKind, SearchParams
 
 CFG = PhysicalConfig()
 FAST = SearchParams(record_len=2**18)
-TF = CFG.fly_time
 D = CFG.dt_divisor
 
 
@@ -67,7 +66,7 @@ class TestImbalances:
         # v = z0*i at both ends before the first arrival, so the two
         # statistics are exact scalar multiples within that window
         for trial in range(5):
-            wf = trial_waveforms(CFG, ScenarioKind.NO_DEFENSE, trial, 1, 2 * TF, FAST)
+            wf = trial_waveforms(CFG, ScenarioKind.NO_DEFENSE, trial, 1, 2, FAST)
             rho_u, rho_i = window_stats(wf, (D,))
             assert rho_u[0] == pytest.approx(CFG.z0**2 * rho_i[0], rel=1e-12)
 
@@ -98,12 +97,12 @@ class TestCalibrateSign:
     """Sign calibration on labeled HL rehearsal trials, inside run_experiment."""
 
     def _signs(self, master_seed):
-        return run_experiment(CFG, ScenarioKind.NO_DEFENSE, [TF], 1, master_seed, n_cal=50,
+        return run_experiment(CFG, ScenarioKind.NO_DEFENSE, [1], 1, master_seed, n_cal=50,
                               params=FAST).signs
 
     def test_rejects_small_n_cal(self):
         with pytest.raises(ValueError, match="n_cal >= 50"):
-            run_experiment(CFG, ScenarioKind.NO_DEFENSE, [TF], 1, 1, n_cal=10, params=FAST)
+            run_experiment(CFG, ScenarioKind.NO_DEFENSE, [1], 1, 1, n_cal=10, params=FAST)
 
     def test_no_defense_signs_informative_and_equal(self):
         (sign,) = self._signs(1)

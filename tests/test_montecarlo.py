@@ -2,6 +2,7 @@
 
 import functools
 import math
+import re
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -18,7 +19,7 @@ from kljnsim.protocol import PhysicalConfig, ScenarioKind, SearchParams
 
 CFG = PhysicalConfig()
 FAST = SearchParams(record_len=2**18)
-TAUS = [m * CFG.fly_time for m in (1, 2, 3, 4)]
+TAUS = (1, 2, 3, 4)
 
 
 class TestStandardError:
@@ -152,6 +153,21 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             run_experiment(CFG, ScenarioKind.NO_DEFENSE, [], 4, 1, n_cal=50, params=FAST)
 
+    @pytest.mark.parametrize("windows, message", [
+        ([0], "positive whole number of fly times, got 0"),
+        ([1, -1], "positive whole number of fly times, got -1"),
+        ([1.5], "positive whole number of fly times, got 1.5"),
+        ([], "window list must be nonempty"),
+    ], ids=["zero", "negative", "fraction", "empty"])
+    def test_windows_must_be_whole_fly_times(self, windows, message):
+        with pytest.raises(ValueError, match=message):
+            run_experiment(CFG, ScenarioKind.NO_DEFENSE, windows, 4, 1, n_cal=50, params=FAST)
+
+    def test_windows_are_whole_fly_times(self):
+        s = run_experiment(CFG, ScenarioKind.NO_DEFENSE, [1, np.int64(3)], 4, 2, n_cal=50,
+                           params=FAST)
+        assert s.taus.tolist() == [CFG.fly_time, 3 * CFG.fly_time]
+
     def test_csv_lines_format(self):
         s = run_experiment(CFG, ScenarioKind.NO_DEFENSE, TAUS, 8, 3, n_cal=50, params=FAST)
         lines = s.csv_lines()
@@ -165,20 +181,26 @@ class TestRunExperiment:
 
 class TestTrialWaveforms:
     def test_deterministic_and_sized(self):
-        a = trial_waveforms(CFG, ScenarioKind.NO_DEFENSE, 0, 42, 2 * CFG.fly_time, FAST)
-        b = trial_waveforms(CFG, ScenarioKind.NO_DEFENSE, 0, 42, 2 * CFG.fly_time, FAST)
+        a = trial_waveforms(CFG, ScenarioKind.NO_DEFENSE, 0, 42, 2, FAST)
+        b = trial_waveforms(CFG, ScenarioKind.NO_DEFENSE, 0, 42, 2, FAST)
         assert len(a) == 2 * CFG.dt_divisor
         assert np.array_equal(a.v_a, b.v_a)
 
+    @pytest.mark.parametrize("fly_times", [0, -1, 1.5, []],
+                             ids=["zero", "negative", "fraction", "list"])
+    def test_length_must_be_whole_fly_times(self, fly_times):
+        with pytest.raises(ValueError, match=re.escape(f"fly times, got {fly_times!r}")):
+            trial_waveforms(CFG, ScenarioKind.NO_DEFENSE, 0, 42, fly_times, FAST)
+
     def test_different_trials_differ(self):
-        a = trial_waveforms(CFG, ScenarioKind.NO_DEFENSE, 0, 42, CFG.fly_time, FAST)
-        b = trial_waveforms(CFG, ScenarioKind.NO_DEFENSE, 1, 42, CFG.fly_time, FAST)
+        a = trial_waveforms(CFG, ScenarioKind.NO_DEFENSE, 0, 42, 1, FAST)
+        b = trial_waveforms(CFG, ScenarioKind.NO_DEFENSE, 1, 42, 1, FAST)
         assert not np.array_equal(a.v_a, b.v_a)
 
     @pytest.mark.parametrize("scenario", [ScenarioKind.NO_DEFENSE,
                                           ScenarioKind.ZERO_START_SLOPE_MATCHED])
     def test_waveforms_do_not_hold_the_records(self, scenario):
-        wf = trial_waveforms(CFG, scenario, 0, 1, 2 * CFG.fly_time)
+        wf = trial_waveforms(CFG, scenario, 0, 1, 2)
         assert wf.ugen_a.base is None and wf.ugen_b.base is None
 
 

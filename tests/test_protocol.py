@@ -270,18 +270,17 @@ class TestRunBepTrial:
     """One bit-exchange period as run_experiment builds it (trial_waveforms)."""
 
     def test_sample_count(self):
-        wf = trial_waveforms(CFG, ScenarioKind.NO_DEFENSE, 0, 21, 4 * CFG.fly_time, FAST)
+        wf = trial_waveforms(CFG, ScenarioKind.NO_DEFENSE, 0, 21, 4, FAST)
         assert len(wf) == 400
 
     def test_no_defense_has_arrival_discontinuity(self):
-        wf = trial_waveforms(CFG, ScenarioKind.NO_DEFENSE, 0, 22, 2 * CFG.fly_time, FAST)
+        wf = trial_waveforms(CFG, ScenarioKind.NO_DEFENSE, 0, 22, 2, FAST)
         steps = np.abs(np.diff(wf.v_a))
         arrival = steps[CFG.dt_divisor - 1]
         assert arrival > 10.0 * np.median(steps)
 
     def test_full_defense_arrival_is_smooth(self):
-        wf = trial_waveforms(CFG, ScenarioKind.ZERO_START_SLOPE_MATCHED, 0, 23,
-                             2 * CFG.fly_time, FAST)
+        wf = trial_waveforms(CFG, ScenarioKind.ZERO_START_SLOPE_MATCHED, 0, 23, 2, FAST)
         d = CFG.dt_divisor
         steps = np.abs(np.diff(wf.v_a))
         arrival_jumps = steps[d - 2 : d + 1]
@@ -293,8 +292,8 @@ class TestRunBepTrial:
 
     def test_temperature_scaling_is_exact(self):
         hot = PhysicalConfig(temperature=4 * CFG.temperature)
-        wf1 = trial_waveforms(CFG, ScenarioKind.ZERO_START_ONLY, 0, 24, 2 * CFG.fly_time, FAST)
-        wf2 = trial_waveforms(hot, ScenarioKind.ZERO_START_ONLY, 0, 24, 2 * CFG.fly_time, FAST)
+        wf1 = trial_waveforms(CFG, ScenarioKind.ZERO_START_ONLY, 0, 24, 2, FAST)
+        wf2 = trial_waveforms(hot, ScenarioKind.ZERO_START_ONLY, 0, 24, 2, FAST)
         assert np.array_equal(wf2.v_a, 2.0 * wf1.v_a)
         assert np.array_equal(wf2.i_b, 2.0 * wf1.i_b)
 
