@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import Boltzmann
 
 __all__ = [
     "BOLTZMANN",
@@ -44,7 +43,7 @@ __all__ = [
     "find_start_point",
 ]
 
-BOLTZMANN = Boltzmann  # 1.380649e-23 J/K, exact SI value
+BOLTZMANN = 1.380649e-23  # J/K, exact SI value
 
 # Samples the start-point search scans at a time before it looks for a match.
 SEARCH_BLOCK = 2**15
@@ -72,8 +71,8 @@ def slope_rms(bandwidth: float, sigma: float) -> float:
     The second spectral moment of a flat band (0, B] gives
     <x'^2> = sigma^2 * (2*pi*B)^2 / 3.
     """
-    if bandwidth <= 0 or sigma < 0:
-        raise ValueError(f"need bandwidth > 0 and sigma >= 0, got ({bandwidth}, {sigma})")
+    if not (bandwidth > 0 and 0 < sigma < math.inf):
+        raise ValueError(f"need bandwidth > 0 and a finite sigma > 0, got ({bandwidth}, {sigma})")
     return sigma * 2.0 * math.pi * bandwidth / math.sqrt(3.0)
 
 
@@ -95,8 +94,8 @@ class NoiseRecord:
             raise ValueError("a noise record needs at least 2 samples")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
-        if self.target_rms < 0:
-            raise ValueError("target_rms must be non-negative")
+        if not 0 < self.target_rms < math.inf:
+            raise ValueError("target_rms must be finite and positive")
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -133,9 +132,9 @@ def _in_band_coefficients(
     dt: float,
     bandwidth: float,
     sigma: float,
-) -> np.ndarray | None:
+) -> np.ndarray:
     """Check the synthesis inputs and draw the complex coefficients of bins
-    1 .. floor(B*n*dt) for ``seed``; None when sigma is zero (a zero record)."""
+    1 .. floor(B*n*dt) for ``seed``."""
     if n < 2:
         raise ValueError(f"record length must be >= 2, got {n}")
     if dt <= 0 or bandwidth <= 0:
@@ -145,8 +144,8 @@ def _in_band_coefficients(
             f"bandwidth {bandwidth} Hz is not below the Nyquist frequency "
             f"{0.5 / dt} Hz of dt={dt}"
         )
-    if sigma < 0:
-        raise ValueError("sigma must be non-negative")
+    if not 0 < sigma < math.inf:
+        raise ValueError(f"sigma must be finite and positive, got {sigma}")
     n_bins = in_band_bins(n, dt, bandwidth)
     if n_bins < 10:
         raise ValueError(
@@ -154,16 +153,13 @@ def _in_band_coefficients(
             f"(n*dt*B = {n * dt * bandwidth:.3g})"
         )
     rng = np.random.default_rng(seed)
-    if sigma == 0.0:
-        return None
     return rng.standard_normal(n_bins) + 1j * rng.standard_normal(n_bins)
 
 
 def _irfft_samples(coeffs: np.ndarray, n: int, sigma: float) -> np.ndarray:
     """The n samples of the in-band coefficients, scaled to sample RMS sigma."""
-    spectrum = np.zeros(n // 2 + 1, dtype=complex)
-    spectrum[1 : len(coeffs) + 1] = coeffs
-    samples = np.fft.irfft(spectrum, n)
+    # irfft pads the spectrum (DC, then the in-band bins) with zero bins to n.
+    samples = np.fft.irfft(np.concatenate(([0j], coeffs)), n)
     samples *= sigma / math.sqrt(float(np.mean(samples * samples)))
     return samples
 
@@ -182,12 +178,11 @@ def synthesize_record(
     everything above B) stay exactly zero; an inverse real FFT produces the
     samples, which are then scaled so the sample RMS equals ``sigma``.
 
-    Deterministic given the seed.  Requires n >= 2, at least ten in-band
-    bins (n*dt*B >= 10) and B below the Nyquist frequency 1/(2*dt).
+    Deterministic given the seed.  Requires n >= 2, a finite sigma > 0, at
+    least ten in-band bins (n*dt*B >= 10) and B below the Nyquist frequency
+    1/(2*dt).
     """
     coeffs = _in_band_coefficients(seed, n, dt, bandwidth, sigma)
-    if coeffs is None:
-        return NoiseRecord(np.zeros(n), dt, 0.0)
     return NoiseRecord(_irfft_samples(coeffs, n, sigma), dt, sigma)
 
 
@@ -224,8 +219,6 @@ def synthesize_window(
     coeffs = _in_band_coefficients(seed, n, dt, bandwidth, sigma)
     if not (0 <= start and 1 <= count and start + count <= n):
         raise ValueError(f"window of {count} samples from {start} is not inside {n} samples")
-    if coeffs is None:
-        return np.zeros(count)
     n_bins = len(coeffs)
     if count * n_bins > n:
         return _irfft_samples(coeffs, n, sigma)[start : start + count].copy()
@@ -311,10 +304,7 @@ def find_start_point(
     sign = -1.0 if negate else 1.0
     value = sign * s[index]
     slope = sign * slopes[first]
-    if record.target_rms > 0:
-        achieved_value = abs(value - target_value) / record.target_rms
-    else:
-        achieved_value = 0.0
+    achieved_value = abs(value - target_value) / record.target_rms
     if target_slope is not None:
         achieved_slope = abs(slope / target_slope - 1.0)
     else:

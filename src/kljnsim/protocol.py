@@ -83,6 +83,13 @@ class PhysicalConfig:
         # Below 2**53, so that the divisor converts to float exactly.
         if not (10 <= self.dt_divisor < 2**53 and self.dt_divisor % 1 == 0):
             raise ValueError(f"dt_divisor must be an integer in [10, 2**53), got {self.dt_divisor}")
+        # 4kTRB of finite positive inputs can still underflow to 0 or overflow.
+        for key, resistance in (("r_l", self.r_l), ("r_h", self.r_h)):
+            sigma = self.sigma(resistance)
+            if not 0 < sigma < math.inf:
+                raise ValueError(f"temperature {self.temperature}, {key} {resistance} and "
+                                 f"bandwidth {self.bandwidth} give a Johnson RMS sqrt(4kTRB) "
+                                 f"of {sigma}; it must be finite and positive")
 
     @property
     def dt(self) -> float:

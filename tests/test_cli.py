@@ -277,6 +277,22 @@ class TestMain:
         assert "master_seed must be >= 0" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("command", [["tables"], ["waveforms", "--scenario", "1"],
+                                         ["validate"]])
+    @pytest.mark.parametrize("physical", [
+        "temperature = 1e-310\n",  # 4kTRB underflows: sigma_L = sigma_H = 0
+        "temperature = 1e300\nr_h = 1e300\n",  # 4kTRB overflows: sigma_H = inf
+    ], ids=["zero_sigma", "infinite_sigma"])
+    def test_degenerate_johnson_rms_exit_two_before_writing(self, tmp_path, capsys, command,
+                                                             physical):
+        out = tmp_path / "out"
+        rc = main(command + ["--config", _write(tmp_path, physical), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "configuration error" in err and "Traceback" not in err
+        assert "temperature" in err and "bandwidth" in err
+        assert not out.exists()
+
     def test_missing_config_file_exit_two(self, tmp_path):
         rc = main(["tables", "--config", str(tmp_path / "nope.cfg")])
         assert rc == 2
@@ -371,6 +387,17 @@ class TestMain:
         )
         assert proc.returncode == 0, proc.stderr
         assert "kljn-sim" in proc.stdout
+
+    def test_import_leaves_scipy_out(self):
+        # numpy is the only runtime dependency; scipy is for the tests alone
+        src = str(Path(kljnsim.__file__).resolve().parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, kljnsim.cli; "
+             "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_waveforms_command(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
