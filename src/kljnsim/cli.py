@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .line import lattice_step_response, run_transient
-from .montecarlo import (SEGMENT_SAMPLES, _plan_segments, run_experiment, trial_waveforms,
+from .montecarlo import (SEGMENT_SAMPLES, _plan_steady_state, run_experiment, trial_waveforms,
                          validate_steady_state)
 from .protocol import PhysicalConfig, ScenarioKind, SearchParams, _require_finite_positive
 
@@ -233,7 +233,7 @@ def cmd_validate(cfg: RunConfig) -> tuple[bool, str]:
             f"dt_divisor {cfg.physical.dt_divisor} asks the line-engine check for {n_oracle} "
             f"samples (12 fly times), above the maximum of {SEGMENT_SAMPLES}"
         )
-    _plan_segments(cfg.physical, cfg.steady_duration)
+    _plan_steady_state(cfg.physical, cfg.steady_duration)
     out_dir = _prepare_out_dir(cfg)
     report = validate_steady_state(cfg.physical, cfg.steady_duration, cfg.master_seed)
     oracle_ok, oracle_line = _line_oracle_ok(cfg.physical, n_oracle)

@@ -27,6 +27,7 @@ identical IEEE arithmetic as the scalar update.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,29 +94,42 @@ def _propagate(
 
     Only one block of waves is in flight: the waves arriving at each end
     during a block are the far end's emissions of the previous block, and
-    zeros during the first.  Bitwise identical to evaluating the per-end
-    update above one sample at a time.
+    zeros during the first.  Each block is written straight into the four
+    outputs, so the loop allocates nothing.  Bitwise identical to evaluating
+    the per-end update above one sample at a time.
     """
     n = len(u_a)
+    # Four separate outputs: one (4, n) block raised the peak RSS of a
+    # four-segment ``validate`` from 134 to 147 MiB, because a request that
+    # large is always served by a fresh mapping.
     v_a = np.empty(n)
     v_b = np.empty(n)
     i_a = np.empty(n)
     i_b = np.empty(n)
     div_a = r_a + z0
     div_b = r_b + z0
-    arr_a = arr_b = np.zeros(min(delay_steps, n))
+    # Block buffers, rewritten in place: the waves arriving at each end, and
+    # z0*i at each end, which both v and the outgoing wave add.  Each ufunc
+    # takes its output as the third positional argument, because an ``out=``
+    # keyword costs more per call than the arithmetic of a 100-sample block.
+    arr_a, arr_b = np.zeros(min(delay_steps, n)), np.zeros(min(delay_steps, n))
+    zi_a, zi_b = np.empty_like(arr_a), np.empty_like(arr_b)
     for start in range(0, n, delay_steps):
         end = min(start + delay_steps, n)
-        arr_a, arr_b = arr_a[: end - start], arr_b[: end - start]
-        ia = (u_a[start:end] - arr_a) / div_a
-        va = z0 * ia + arr_a
-        ib = (u_b[start:end] - arr_b) / div_b
-        vb = z0 * ib + arr_b
-        arr_a, arr_b = vb + z0 * ib, va + z0 * ia
-        v_a[start:end] = va
-        i_a[start:end] = ia
-        v_b[start:end] = vb
-        i_b[start:end] = ib
+        if end - start < len(arr_a):
+            arr_a, arr_b, zi_a, zi_b = (x[: end - start] for x in (arr_a, arr_b, zi_a, zi_b))
+        ia, va, ib, vb = i_a[start:end], v_a[start:end], i_b[start:end], v_b[start:end]
+        np.subtract(u_a[start:end], arr_a, ia)
+        np.divide(ia, div_a, ia)
+        np.multiply(z0, ia, zi_a)
+        np.add(zi_a, arr_a, va)
+        np.subtract(u_b[start:end], arr_b, ib)
+        np.divide(ib, div_b, ib)
+        np.multiply(z0, ib, zi_b)
+        np.add(zi_b, arr_b, vb)
+        # Both ends have read their arrivals; overwrite them with this block's emissions.
+        np.add(vb, zi_b, arr_a)
+        np.add(va, zi_a, arr_b)
     return v_a, v_b, i_a, i_b
 
 
@@ -218,6 +232,7 @@ def ideal_line_steady_state(
     (ms_a*r_b^2 + ms_b*r_a^2)/(r_a + r_b)^2 and (ms_a + ms_b)/(r_a + r_b)^2,
     which are 4kT*Rp*B and 4kT*B/Rs for Johnson generators.  Used as an
     independent oracle for the steady state of the time-stepped engine.
+    Raises ValueError when a level is not finite in floating point.
     """
     if z0 <= 0 or r_a <= 0 or r_b <= 0:
         raise ValueError(f"z0 and the resistances must be positive, got ({z0}, {r_a}, {r_b})")
@@ -232,7 +247,12 @@ def ideal_line_steady_state(
     # the own end gives v = z0*(z0*sin - j*r_far*cos)/D and
     # i = (r_far*sin - j*z0*cos)/D there; one at the far end gives
     # |v| = z0*r_own/|D| and |i| = z0/|D|.
-    inv_d2 = 1.0 / ((r_a * r_b + z0 * z0) ** 2 * s2 + (z0 * (r_a + r_b)) ** 2 * c2)
+    overflow = (f"the ideal-line steady state of resistances ({r_a}, {r_b}) and z0 {z0} "
+                "overflows in floating point")
+    try:
+        inv_d2 = 1.0 / ((r_a * r_b + z0 * z0) ** 2 * s2 + (z0 * (r_a + r_b)) ** 2 * c2)
+    except OverflowError:
+        raise ValueError(overflow) from None
     far = float(np.mean(inv_d2))
 
     def end(ms_own: float, ms_far: float, r_own: float, r_far: float) -> tuple[float, float]:
@@ -243,4 +263,6 @@ def ideal_line_steady_state(
         return v2, i2
 
     (v2_a, i2_a), (v2_b, i2_b) = end(ms_a, ms_b, r_a, r_b), end(ms_b, ms_a, r_b, r_a)
+    if not all(map(math.isfinite, (v2_a, v2_b, i2_a, i2_b))):
+        raise ValueError(overflow)
     return np.array([v2_a, v2_b]), np.array([i2_a, i2_b])

@@ -19,7 +19,6 @@ import functools
 import math
 import os
 from collections.abc import Sequence
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -131,6 +130,23 @@ def _window_steps(config: PhysicalConfig, fly_times: Sequence[int]) -> tuple[int
     return tuple(int(m) * config.dt_divisor for m in fly_times)
 
 
+def _pool_class():
+    """The process pool class, imported on first use because it loads
+    multiprocessing.  A stand-in assigned to the module attribute
+    ``ProcessPoolExecutor`` is used instead."""
+    global ProcessPoolExecutor
+    if "ProcessPoolExecutor" not in globals():
+        from concurrent.futures import ProcessPoolExecutor
+    return ProcessPoolExecutor
+
+
+def __getattr__(name: str):
+    """Module attribute lookup of last resort: ``ProcessPoolExecutor`` loads on first use."""
+    if name == "ProcessPoolExecutor":
+        return _pool_class()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def _run_chunk(run, tasks) -> list:
     return [run(phase, trial) for phase, trial in tasks]
 
@@ -147,7 +163,7 @@ def _collect(run, phases, jobs: int) -> tuple[np.ndarray, ...]:
     else:
         size = max(8, math.ceil(len(tasks) / (4 * jobs)))
         chunks = [tasks[lo : lo + size] for lo in range(0, len(tasks), size)]
-        with ProcessPoolExecutor(max_workers=min(jobs, len(chunks))) as pool:
+        with _pool_class()(max_workers=min(jobs, len(chunks))) as pool:
             parts = pool.map(functools.partial(_run_chunk, run), chunks)
             outputs = [out for part in parts for out in part]
     return tuple(np.array(column) for column in zip(*outputs))
@@ -367,11 +383,17 @@ def _steady_segments(
             v2.append(0.5 * (np.mean(v_a[sl] ** 2) + np.mean(v_b[sl] ** 2)))
             i2.append(0.5 * (np.mean(i_a[sl] ** 2) + np.mean(i_b[sl] ** 2)))
             p.append(np.mean(v_a[sl] * i_a[sl]))
+        # Free this segment before the next one is synthesized.
+        del rec_a, rec_b, v_a, v_b, i_a, i_b
     return np.array(v2), np.array(i2), np.array(p)
 
 
-def _plan_segments(config: PhysicalConfig, duration: float) -> int:
-    """Segments per state for ``duration`` s of ``validate_steady_state``, or ValueError."""
+def _plan_steady_state(
+    config: PhysicalConfig, duration: float
+) -> tuple[int, np.ndarray, np.ndarray]:
+    """Segments per state for ``duration`` s of ``validate_steady_state``, and
+    the ideal-line steady state ``(v2, i2)`` of HL on one segment's in-band
+    bins; ValueError for a duration or config that cannot be validated."""
     if not math.isfinite(duration):
         raise ValueError(f"duration must be finite, got {duration} s")
     min_duration = 1000.0 / config.bandwidth
@@ -386,7 +408,13 @@ def _plan_segments(config: PhysicalConfig, duration: float) -> int:
             f"{MAX_SEGMENTS}; the largest accepted duration is about "
             f"{MAX_SEGMENTS * seg_duration:g} s"
         )
-    return max(1, round(planned))
+    r_a, r_b = BitState.HL.resistors(config)
+    freqs = np.arange(1, in_band_bins(SEGMENT_SAMPLES, config.dt, config.bandwidth) + 1)
+    v2_line, i2_line = ideal_line_steady_state(
+        r_a, r_b, config.z0, config.fly_time, freqs / seg_duration,
+        config.sigma(r_a) ** 2, config.sigma(r_b) ** 2,
+    )
+    return max(1, round(planned)), v2_line, i2_line
 
 
 def validate_steady_state(config: PhysicalConfig, duration: float, seed: int) -> SteadyStateReport:
@@ -400,9 +428,10 @@ def validate_steady_state(config: PhysicalConfig, duration: float, seed: int) ->
     levels 4kT*Rp*B and 4kT*B/Rs are reported alongside), and the HL-LH
     difference and the mean power flow against zero, within SIGMA_LIMIT
     standard errors.  A duration that plans more than MAX_SEGMENTS segments
-    per state is rejected.
+    per state, or a config whose reference overflows, is rejected before the
+    first segment runs.
     """
-    n_seg = _plan_segments(config, duration)
+    n_seg, v2_line, i2_line = _plan_steady_state(config, duration)
     seg_samples = SEGMENT_SAMPLES
     seg_duration = seg_samples * config.dt
     gamma_prod = reflection_coefficient(config.r_h, config.z0) * reflection_coefficient(
@@ -427,12 +456,6 @@ def validate_steady_state(config: PhysicalConfig, duration: float, seed: int) ->
     power, power_se = mean_se(p_hl)
     v2l, v2l_se = mean_se(v2_lh)
     i2l, i2l_se = mean_se(i2_lh)
-    r_a, r_b = BitState.HL.resistors(config)
-    freqs = np.arange(1, in_band_bins(seg_samples, config.dt, config.bandwidth) + 1) / seg_duration
-    v2_line, i2_line = ideal_line_steady_state(
-        r_a, r_b, config.z0, config.fly_time, freqs,
-        config.sigma(r_a) ** 2, config.sigma(r_b) ** 2,
-    )
     _, r_s = resultant_resistances(config.r_h, config.r_l)
     return SteadyStateReport(
         duration=n_seg * seg_duration,

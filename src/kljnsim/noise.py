@@ -122,8 +122,27 @@ class StartPoint:
 
 
 def in_band_bins(n: int, dt: float, bandwidth: float) -> int:
-    """Number of frequency bins k/(n*dt), k >= 1, that lie in the band (0, B]."""
-    return int(math.floor(bandwidth * n * dt))
+    """Number of frequency bins k/(n*dt), k >= 1, that lie in the band (0, B].
+
+    Raises ValueError unless the n-sample grid of step dt holds the band
+    below its Nyquist frequency in at least ten bins.
+    """
+    if n < 2:
+        raise ValueError(f"record length must be >= 2, got {n}")
+    if dt <= 0 or bandwidth <= 0:
+        raise ValueError("dt and bandwidth must be positive")
+    if bandwidth >= 0.5 / dt:
+        raise ValueError(
+            f"bandwidth {bandwidth} Hz is not below the Nyquist frequency "
+            f"{0.5 / dt} Hz of dt={dt}"
+        )
+    n_bins = int(math.floor(bandwidth * n * dt))
+    if n_bins < 10:
+        raise ValueError(
+            f"record too short: only {n_bins} in-band frequency bins, need >= 10 "
+            f"(n*dt*B = {n * dt * bandwidth:.3g})"
+        )
+    return n_bins
 
 
 def _in_band_coefficients(
@@ -135,23 +154,9 @@ def _in_band_coefficients(
 ) -> np.ndarray:
     """Check the synthesis inputs and draw the complex coefficients of bins
     1 .. floor(B*n*dt) for ``seed``."""
-    if n < 2:
-        raise ValueError(f"record length must be >= 2, got {n}")
-    if dt <= 0 or bandwidth <= 0:
-        raise ValueError("dt and bandwidth must be positive")
-    if bandwidth >= 0.5 / dt:
-        raise ValueError(
-            f"bandwidth {bandwidth} Hz is not below the Nyquist frequency "
-            f"{0.5 / dt} Hz of dt={dt}"
-        )
+    n_bins = in_band_bins(n, dt, bandwidth)
     if not 0 < sigma < math.inf:
         raise ValueError(f"sigma must be finite and positive, got {sigma}")
-    n_bins = in_band_bins(n, dt, bandwidth)
-    if n_bins < 10:
-        raise ValueError(
-            f"record too short: only {n_bins} in-band frequency bins, need >= 10 "
-            f"(n*dt*B = {n * dt * bandwidth:.3g})"
-        )
     rng = np.random.default_rng(seed)
     return rng.standard_normal(n_bins) + 1j * rng.standard_normal(n_bins)
 

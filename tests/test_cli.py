@@ -293,6 +293,22 @@ class TestMain:
         assert "temperature" in err and "bandwidth" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("physical, message", [
+        # sigma_H = 4.4e148 is finite, but the ideal-line reference overflows
+        ("r_h = 1e300\n", "steady state of resistances (1e+300, 2000.0) and z0 50.0 overflows"),
+        ("bandwidth = 1e15\n", "is not below the Nyquist frequency"),
+    ], ids=["huge_resistor", "band_above_nyquist"])
+    def test_validate_unusable_reference_exit_two_before_writing(self, tmp_path, capsys,
+                                                                  physical, message):
+        out = tmp_path / "out"
+        t0 = time.perf_counter()
+        rc = main(["validate", "--config", _write(tmp_path, physical), "--out", str(out)])
+        elapsed = time.perf_counter() - t0
+        err = capsys.readouterr().err
+        assert rc == 2 and elapsed < 1.0
+        assert message in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_missing_config_file_exit_two(self, tmp_path):
         rc = main(["tables", "--config", str(tmp_path / "nope.cfg")])
         assert rc == 2
@@ -394,6 +410,17 @@ class TestMain:
         proc = subprocess.run(
             [sys.executable, "-c", "import sys, kljnsim.cli; "
              "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_import_leaves_process_pool_out(self):
+        # the process pool, and with it multiprocessing, loads only when --jobs > 1 starts one
+        src = str(Path(kljnsim.__file__).resolve().parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, kljnsim.cli; "
+             "print([m for m in sys.modules if m.split('.')[0] == 'multiprocessing'])"],
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
         )
         assert proc.returncode == 0, proc.stderr

@@ -283,6 +283,18 @@ class TestRunTransient:
             tracemalloc.stop()
         assert peak < 5 * n * 8
 
+    def test_outputs_are_separate_buffers_and_drives_unchanged(self):
+        n = 3 * D + 37
+        rng = np.random.default_rng(53)
+        u_a, u_b = rng.normal(size=n), rng.normal(size=n)
+        drives = u_a.tobytes(), u_b.tobytes()
+        outputs = _propagate(u_a, u_b, R_H, R_L, Z0, D)
+        arrays = outputs + (u_a, u_b)
+        for j, x in enumerate(outputs):
+            for y in arrays[j + 1 :]:
+                assert not np.shares_memory(x, y)
+        assert (u_a.tobytes(), u_b.tobytes()) == drives
+
     def test_drive_length_mismatch_raises(self):
         with pytest.raises(ValueError, match="equally long"):
             run_transient(CFG, np.zeros(60), R_H, np.zeros(59), R_L)
@@ -410,6 +422,11 @@ class TestIdealLineSteadyState:
             ideal_line_steady_state(R_H, R_L, Z0, -TF, self.FREQS, 1.0, 1.0)
         with pytest.raises(ValueError):
             ideal_line_steady_state(R_H, R_L, Z0, TF, [], 1.0, 1.0)
+        # D^2 overflows a Python float; a level overflows to inf
+        with pytest.raises(ValueError, match=r"resistances \(1e\+300, 2000.0\).*overflows"):
+            ideal_line_steady_state(1e300, R_L, Z0, TF, self.FREQS, 1.0, 1.0)
+        with pytest.raises(ValueError, match="overflows"):
+            ideal_line_steady_state(R_H, R_L, Z0, TF, self.FREQS, 1e306, 1e306)
 
 
 class TestTrialWaveformsTsv:

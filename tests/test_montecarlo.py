@@ -3,6 +3,7 @@
 import functools
 import math
 import re
+import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -213,6 +214,19 @@ class TestValidateSteadyState:
     def test_rejects_non_finite_duration(self, duration):
         with pytest.raises(ValueError, match=f"duration must be finite, got {duration}"):
             validate_steady_state(CFG, duration, 1)
+
+    def test_holds_one_segment_at_a_time(self):
+        # a segment's two records and four waves are freed before the next
+        # segment's records are synthesized
+        seg_bytes = montecarlo.SEGMENT_SAMPLES * 8
+        tracemalloc.start()
+        try:
+            report = validate_steady_state(CFG, 2 * montecarlo.SEGMENT_SAMPLES * CFG.dt, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.n_segments == 2
+        assert peak < 7 * seg_bytes, f"peak {peak / seg_bytes:.2f} segment arrays"
 
     def test_report_structure_on_minimal_run(self):
         report = validate_steady_state(CFG, 1000.0 / CFG.bandwidth, 1)
