@@ -17,11 +17,7 @@ import time
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
-import numpy as np
-
-from .line import lattice_step_response, run_transient
-from .montecarlo import (SEGMENT_SAMPLES, _plan_steady_state, run_experiment, trial_waveforms,
-                         validate_steady_state)
+from .montecarlo import _plan_steady_state, run_experiment, trial_waveforms, validate_steady_state
 from .protocol import PhysicalConfig, ScenarioKind, SearchParams, _require_finite_positive
 
 __all__ = ["RunConfig", "parse_config", "cmd_tables", "cmd_waveforms", "cmd_validate", "main"]
@@ -57,6 +53,10 @@ class RunConfig:
             raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
+        out_dir = self.out_dir
+        if "#" in out_dir or out_dir != out_dir.strip() or len(out_dir.splitlines()) > 1:
+            raise ValueError(f"out_dir {out_dir!r} would not read back from effective_config.txt: "
+                             "it may hold no '#' or line break, nor start or end with whitespace")
         _require_finite_positive(self, ("steady_duration",))
 
     def to_text(self) -> str:
@@ -199,52 +199,19 @@ def cmd_waveforms(cfg: RunConfig, scenario: int) -> Path:
     return path
 
 
-def _line_oracle_ok(p: PhysicalConfig, n: int) -> tuple[bool, str]:
-    """Quick engine-vs-oracle cross check of an n-sample step response."""
-    wf = run_transient(p, np.ones(n), p.r_h, np.zeros(n), p.r_l)
-    worst = 0.0
-    for k in range(n):
-        t = k * p.dt
-        near = round(t / p.fly_time)
-        if near > 0 and abs(t - near * p.fly_time) <= 0.5 * p.dt:
-            continue
-        v_src, v_load = lattice_step_response(1.0, p.r_h, p.r_l, p.z0, p.fly_time, t)
-        ref = max(abs(v_src), abs(v_load))
-        worst = max(worst, abs(wf.v_a[k] - v_src) / ref, abs(wf.v_b[k] - v_load) / ref)
-    ok = worst <= 1e-9
-    return ok, (
-        f"  step response vs bounce-diagram oracle: worst rel err {worst:.3e} "
-        f"(limit 1e-09) [{'pass' if ok else 'FAIL'}]"
-    )
+def cmd_validate(cfg: RunConfig) -> bool:
+    """Run validate_steady_state, write its report to validation.txt and
+    print it; returns whether every check passed.
 
-
-def cmd_validate(cfg: RunConfig) -> tuple[bool, str]:
-    """Run the steady-state identity checks plus the line-engine oracle check.
-
-    Every input check runs before the output directory is made and before
-    either check's work starts.
+    Every input check runs before the output directory is made.
     """
-    # The engine-vs-oracle check runs 12 fly times with one Python oracle
-    # call per sample; it may take no more samples than one steady-state
-    # segment.
-    n_oracle = 12 * cfg.physical.dt_divisor
-    if n_oracle > SEGMENT_SAMPLES:
-        raise ValueError(
-            f"dt_divisor {cfg.physical.dt_divisor} asks the line-engine check for {n_oracle} "
-            f"samples (12 fly times), above the maximum of {SEGMENT_SAMPLES}"
-        )
     _plan_steady_state(cfg.physical, cfg.steady_duration)
     out_dir = _prepare_out_dir(cfg)
     report = validate_steady_state(cfg.physical, cfg.steady_duration, cfg.master_seed)
-    oracle_ok, oracle_line = _line_oracle_ok(cfg.physical, n_oracle)
-    text = "\n".join([
-        "line engine:",
-        oracle_line,
-        report.render(),
-        f"overall: {'pass' if oracle_ok and report.all_ok else 'FAIL'}",
-    ])
+    text = report.render()
     (out_dir / "validation.txt").write_text(text + "\n")
-    return oracle_ok and report.all_ok, text
+    print(text)
+    return report.all_ok
 
 
 def main(argv=None) -> int:
@@ -284,12 +251,10 @@ def main(argv=None) -> int:
         if args.command == "waveforms":
             cmd_waveforms(cfg, args.scenario)
             return 0
-        ok, text = cmd_validate(cfg)
+        return 0 if cmd_validate(cfg) else 1
     except (ValueError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    print(text)
-    return 0 if ok else 1
 
 
 if __name__ == "__main__":

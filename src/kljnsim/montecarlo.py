@@ -28,6 +28,7 @@ from .line import (
     TrialWaveforms,
     _propagate,
     ideal_line_steady_state,
+    lattice_step_response,
     reflection_coefficient,
     run_transient,
 )
@@ -61,6 +62,10 @@ SEGMENT_SAMPLES = 2**21
 LEVEL_TOLERANCE = 0.02
 SIGMA_LIMIT = 3.0
 MAX_SEGMENTS = 1000
+# Line-engine check: fly times of the step response compared with the
+# bounce diagram, and the limit of its worst relative error.
+ENGINE_FLY_TIMES = 12
+ENGINE_TOLERANCE = 1e-9
 
 
 def standard_error(p: float, n: int) -> float:
@@ -276,8 +281,10 @@ def run_experiment(
 
 @dataclass
 class SteadyStateReport:
-    """Measured long-run wire statistics against the passive-security identities.
+    """The line engine's step response against the bounce diagram, and
+    measured long-run wire statistics against the passive-security identities.
 
+    ``engine_error`` is the worst relative error of the step response.
     ``ms_voltage_theory`` and ``ms_current_theory`` are the ideal-line
     references (``ideal_line_steady_state`` on the records' in-band bins) that
     the level checks use.  ``ms_voltage_lumped`` (4kT*Rp*B) and
@@ -287,6 +294,7 @@ class SteadyStateReport:
     terminations inside the band.
     """
 
+    engine_error: float
     duration: float
     n_segments: int
     ms_voltage: float
@@ -303,6 +311,10 @@ class SteadyStateReport:
     hl_lh_current_diff_se: float
     mean_power: float
     mean_power_se: float
+
+    @property
+    def engine_ok(self) -> bool:
+        return self.engine_error <= ENGINE_TOLERANCE
 
     @property
     def voltage_ok(self) -> bool:
@@ -325,7 +337,8 @@ class SteadyStateReport:
 
     @property
     def all_ok(self) -> bool:
-        return self.voltage_ok and self.current_ok and self.hl_lh_ok and self.power_ok
+        return (self.engine_ok and self.voltage_ok and self.current_ok and self.hl_lh_ok
+                and self.power_ok)
 
     def render(self) -> str:
         def flag(ok: bool) -> str:
@@ -334,6 +347,9 @@ class SteadyStateReport:
         rel_v = self.ms_voltage / self.ms_voltage_theory - 1.0
         rel_i = self.ms_current / self.ms_current_theory - 1.0
         lines = [
+            "line engine:",
+            f"  step response vs bounce-diagram oracle: worst rel err {self.engine_error:.3e} "
+            f"(limit {ENGINE_TOLERANCE:.0e}) [{flag(self.engine_ok)}]",
             f"steady state over {self.duration:g} s per state ({self.n_segments} segments)",
             f"  wire <v^2>: {self.ms_voltage:.6e} +- {self.ms_voltage_se:.2e} V^2 | "
             f"ideal line = {self.ms_voltage_theory:.6e} V^2 | "
@@ -350,6 +366,7 @@ class SteadyStateReport:
             f"[{flag(self.hl_lh_ok)}]",
             f"  mean power flow at A: {self.mean_power:+.3e} +- {self.mean_power_se:.2e} W "
             f"[{flag(self.power_ok)}]",
+            f"overall: {flag(self.all_ok)}",
         ]
         return "\n".join(lines)
 
@@ -358,7 +375,6 @@ def _steady_segments(
     config: PhysicalConfig,
     state: BitState,
     n_seg: int,
-    seg_samples: int,
     discard: int,
     chunks_per_seg: int,
     seed: int,
@@ -371,12 +387,12 @@ def _steady_segments(
     for k in range(n_seg):
         ss = np.random.SeedSequence(seed, spawn_key=(90, state_key, k))
         seed_a, seed_b = ss.spawn(2)
-        rec_a = synthesize_record(seed_a, seg_samples, config.dt, config.bandwidth, sig_a)
-        rec_b = synthesize_record(seed_b, seg_samples, config.dt, config.bandwidth, sig_b)
+        rec_a = synthesize_record(seed_a, SEGMENT_SAMPLES, config.dt, config.bandwidth, sig_a)
+        rec_b = synthesize_record(seed_b, SEGMENT_SAMPLES, config.dt, config.bandwidth, sig_b)
         v_a, v_b, i_a, i_b = _propagate(
             rec_a.samples, rec_b.samples, r_a, r_b, config.z0, config.dt_divisor
         )
-        kept = seg_samples - discard
+        kept = SEGMENT_SAMPLES - discard
         chunk = kept // chunks_per_seg
         for c in range(chunks_per_seg):
             sl = slice(discard + c * chunk, discard + (c + 1) * chunk)
@@ -388,12 +404,39 @@ def _steady_segments(
     return np.array(v2), np.array(i2), np.array(p)
 
 
+def _engine_step_error(config: PhysicalConfig) -> float:
+    """Worst relative error of the engine's cold-start step response, a unit
+    step behind R_H at A with R_L at B, against the bounce diagram over
+    ENGINE_FLY_TIMES fly times.  The bounce diagram is constant within a fly
+    time, so it is evaluated once per fly time and compared with that fly
+    time's block of samples; the sample that opens each later block lies on
+    an arrival, where the response jumps, and is skipped."""
+    d = config.dt_divisor
+    n = ENGINE_FLY_TIMES * d
+    wf = run_transient(config, np.ones(n), config.r_h, np.zeros(n), config.r_l)
+    worst = 0.0
+    for m in range(ENGINE_FLY_TIMES):
+        oracle = lattice_step_response(1.0, config.r_h, config.r_l, config.z0, config.fly_time,
+                                       (m + 0.5) * config.fly_time)
+        ref = max(abs(v) for v in oracle)
+        block = slice(m * d + (m > 0), (m + 1) * d)
+        for v, v_oracle in zip((wf.v_a, wf.v_b), oracle):
+            worst = float(np.max(np.abs(v[block] - v_oracle) / ref, initial=worst))
+    return worst
+
+
 def _plan_steady_state(
     config: PhysicalConfig, duration: float
 ) -> tuple[int, np.ndarray, np.ndarray]:
     """Segments per state for ``duration`` s of ``validate_steady_state``, and
     the ideal-line steady state ``(v2, i2)`` of HL on one segment's in-band
     bins; ValueError for a duration or config that cannot be validated."""
+    # The line-engine check's step response may be no longer than a segment.
+    n_engine = ENGINE_FLY_TIMES * config.dt_divisor
+    if n_engine > SEGMENT_SAMPLES:
+        raise ValueError(f"dt_divisor {config.dt_divisor} asks the line-engine check for "
+                         f"{n_engine} samples ({ENGINE_FLY_TIMES} fly times), above the "
+                         f"maximum of {SEGMENT_SAMPLES}")
     if not math.isfinite(duration):
         raise ValueError(f"duration must be finite, got {duration} s")
     min_duration = 1000.0 / config.bandwidth
@@ -418,35 +461,34 @@ def _plan_steady_state(
 
 
 def validate_steady_state(config: PhysicalConfig, duration: float, seed: int) -> SteadyStateReport:
-    """Long-run check of the passive-security identities.
+    """The line-engine check and a long-run check of the passive-security
+    identities.
 
-    Runs ``duration`` seconds of equilibrated HL exchange (and the same of
-    LH) in independent cold-start segments, discarding the settle window of
-    each.  Compares the end-averaged HL wire mean squares, within
+    The engine's step response must match the bounce diagram within
+    ENGINE_TOLERANCE over ENGINE_FLY_TIMES fly times.  Then ``duration``
+    seconds of equilibrated HL exchange (and the same of LH) run in
+    independent cold-start segments, discarding the settle window of each.
+    Compares the end-averaged HL wire mean squares, within
     LEVEL_TOLERANCE, against the ideal-line steady state of Johnson
     generators evaluated on the in-band bins of one segment (the lumped
     levels 4kT*Rp*B and 4kT*B/Rs are reported alongside), and the HL-LH
     difference and the mean power flow against zero, within SIGMA_LIMIT
     standard errors.  A duration that plans more than MAX_SEGMENTS segments
-    per state, or a config whose reference overflows, is rejected before the
-    first segment runs.
+    per state, or a config whose reference overflows, is rejected before
+    either check starts.
     """
     n_seg, v2_line, i2_line = _plan_steady_state(config, duration)
-    seg_samples = SEGMENT_SAMPLES
-    seg_duration = seg_samples * config.dt
+    engine_error = _engine_step_error(config)
+    seg_duration = SEGMENT_SAMPLES * config.dt
     gamma_prod = reflection_coefficient(config.r_h, config.z0) * reflection_coefficient(
         config.r_l, config.z0
     )
     settle = 2.0 * config.fly_time / max(1e-12, 1.0 - abs(gamma_prod))
-    discard = min(seg_samples // 4, int(round(30.0 * settle / config.dt)))
+    discard = min(SEGMENT_SAMPLES // 4, int(round(30.0 * settle / config.dt)))
     chunks_per_seg = 4 if n_seg < 8 else 1
 
-    v2_hl, i2_hl, p_hl = _steady_segments(
-        config, BitState.HL, n_seg, seg_samples, discard, chunks_per_seg, seed
-    )
-    v2_lh, i2_lh, _ = _steady_segments(
-        config, BitState.LH, n_seg, seg_samples, discard, chunks_per_seg, seed
-    )
+    v2_hl, i2_hl, p_hl = _steady_segments(config, BitState.HL, n_seg, discard, chunks_per_seg, seed)
+    v2_lh, i2_lh, _ = _steady_segments(config, BitState.LH, n_seg, discard, chunks_per_seg, seed)
 
     def mean_se(x: np.ndarray) -> tuple[float, float]:
         return float(np.mean(x)), float(np.std(x, ddof=1) / math.sqrt(len(x)))
@@ -458,6 +500,7 @@ def validate_steady_state(config: PhysicalConfig, duration: float, seed: int) ->
     i2l, i2l_se = mean_se(i2_lh)
     _, r_s = resultant_resistances(config.r_h, config.r_l)
     return SteadyStateReport(
+        engine_error=engine_error,
         duration=n_seg * seg_duration,
         n_segments=n_seg,
         ms_voltage=v2,

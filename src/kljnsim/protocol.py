@@ -51,6 +51,9 @@ __all__ = [
 # Fresh records tried at the base tolerances before they start doubling; a
 # party gives up after 10 * MAX_REGEN records.
 MAX_REGEN = 10
+# Longest record: one record, its transforms and the direct-sum phase matrix
+# of a window stay under about 0.5 GiB.
+MAX_RECORD_LEN = 2**24
 
 
 def _require_finite_positive(obj, names) -> None:
@@ -163,8 +166,9 @@ class SearchParams:
 
     def __post_init__(self) -> None:
         _require_finite_positive(self, ("value_tol", "slope_tol", "s3_value_fraction"))
-        if self.record_len < 2:
-            raise ValueError("record_len must be >= 2")
+        if not 2 <= self.record_len <= MAX_RECORD_LEN:
+            raise ValueError(f"record_len must be in [2, {MAX_RECORD_LEN} = 2^24], "
+                             f"got {self.record_len}")
 
 
 @dataclass(frozen=True)

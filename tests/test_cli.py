@@ -13,7 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kljnsim
+from kljnsim import protocol
 from kljnsim.cli import RunConfig, _leaves, cmd_tables, cmd_waveforms, main, parse_config
+from kljnsim.montecarlo import validate_steady_state
+from kljnsim.protocol import PhysicalConfig
 
 FAST_CFG = """
 # compact setup for command tests
@@ -58,6 +61,13 @@ NON_DEFAULT = {
     "value_tol": "0.002", "slope_tol": "0.02", "s3_value_fraction": "0.25",
     "steady_duration": "1.5", "jobs": "2", "out_dir": "elsewhere",
 }
+
+
+# out_dir values that effective_config.txt echoes exactly, and values it
+# could not: a '#' starts a comment, surrounding whitespace is stripped, and
+# a line break splits the line
+ECHOABLE_OUT_DIRS = ["runs/a=b", "runs/a b", "runs/\u00e4", ""]
+UNECHOABLE_OUT_DIRS = ["runs/a#b", " runs", "runs ", "runs\t", "a\nb", "a\rb", "a\u2028b"]
 
 
 def _write(tmp_path, text):
@@ -106,6 +116,27 @@ class TestParseConfig:
     def test_round_trip_through_to_text(self):
         cfg = parse_config(FAST_CFG)
         assert parse_config(cfg.to_text()) == cfg
+        for out_dir in ECHOABLE_OUT_DIRS:
+            echoed = replace(cfg, out_dir=out_dir)
+            assert parse_config(echoed.to_text()) == echoed
+        for out_dir in UNECHOABLE_OUT_DIRS:
+            with pytest.raises(ValueError, match="would not read back from effective_config"):
+                replace(cfg, out_dir=out_dir)
+
+    @settings(max_examples=400, deadline=None)
+    @given(out_dir=st.text(max_size=12))
+    def test_every_accepted_out_dir_round_trips(self, out_dir):
+        try:
+            cfg = RunConfig(out_dir=out_dir)
+        except ValueError as exc:
+            assert "out_dir" in str(exc)
+        else:
+            assert parse_config(cfg.to_text()) == cfg
+
+    def test_record_len_above_cap_names_it(self):
+        with pytest.raises(ValueError, match=r"invalid configuration: record_len must be in "
+                                             r"\[2, 16777216 = 2\^24\], got 17179869184"):
+            parse_config("record_len = 17179869184")
 
     def test_default_text_is_pinned(self):
         assert RunConfig().to_text() == DEFAULT_TEXT
@@ -309,6 +340,41 @@ class TestMain:
         assert message in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("out", UNECHOABLE_OUT_DIRS)
+    def test_unechoable_out_exit_two_before_writing(self, tmp_path, monkeypatch, capsys, out):
+        monkeypatch.chdir(tmp_path)
+        rc = main(["validate", "--out", out])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "would not read back" in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_huge_record_len_exit_two_before_writing(self, tmp_path, monkeypatch, capsys):
+        # 2^34 samples would need tens of GiB; the cap rejects it before any synthesis
+        def no_synthesis(*args, **kwargs):
+            raise AssertionError("synthesized a record")
+        for name in ("synthesize_record", "synthesize_window"):
+            monkeypatch.setattr(protocol, name, no_synthesis)
+        out = tmp_path / "out"
+        t0 = time.perf_counter()
+        rc = main(["tables", "--scenario", "1", "--config",
+                   _write(tmp_path, "record_len = 17179869184\n"), "--out", str(out)])
+        elapsed = time.perf_counter() - t0
+        err = capsys.readouterr().err
+        assert rc == 2 and elapsed < 1.0
+        assert "record_len must be in [2, 16777216 = 2^24], got 17179869184" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_validate_writes_the_library_report(self, tmp_path, capsys):
+        # one segment of 2^21 samples per state
+        rc = main(["validate", "--duration", "0.2097152", "--out", str(tmp_path)])
+        report = validate_steady_state(PhysicalConfig(), 0.2097152, 1)
+        text = report.render() + "\n"
+        assert (tmp_path / "validation.txt").read_text() == text
+        assert capsys.readouterr().out == text
+        assert rc == (0 if report.all_ok else 1)
+
     def test_missing_config_file_exit_two(self, tmp_path):
         rc = main(["tables", "--config", str(tmp_path / "nope.cfg")])
         assert rc == 2
@@ -360,7 +426,7 @@ class TestMain:
         assert "configuration error" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("config, duration, message", [
-        # the line-engine check alone would take 1.2e6 oracle calls
+        # 1.2e6 samples fit the line-engine check, but the segments do not
         ("dt_divisor = 100000", "6.4", "plans 30518 segments per state"),
         ("dt_divisor = 1000000", "6.4", "asks the line-engine check for 12000000 samples"),
         # only 95 segments, but the line-engine check would need 1.2e10 samples

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from kljnsim import montecarlo
+from kljnsim.line import lattice_step_response, run_transient
 from kljnsim.montecarlo import (
     run_experiment,
     standard_error,
@@ -21,6 +22,39 @@ from kljnsim.protocol import PhysicalConfig, ScenarioKind, SearchParams
 CFG = PhysicalConfig()
 FAST = SearchParams(record_len=2**18)
 TAUS = (1, 2, 3, 4)
+D = CFG.dt_divisor
+ENGINE_CONFIGS = {
+    "defaults": CFG,
+    "odd-grid": PhysicalConfig(fly_time=1.23456789e-05, dt_divisor=37),
+    "high-z0": PhysicalConfig(r_h=5e4, z0=300.0, dt_divisor=64),
+}
+
+
+def _per_sample_step_error(config: PhysicalConfig, n: int) -> float:
+    """Reference for the line-engine check: one bounce-diagram call per
+    sample, skipping the samples within half a step of an arrival."""
+    wf = run_transient(config, np.ones(n), config.r_h, np.zeros(n), config.r_l)
+    worst = 0.0
+    for k in range(n):
+        t = k * config.dt
+        near = round(t / config.fly_time)
+        if near > 0 and abs(t - near * config.fly_time) <= 0.5 * config.dt:
+            continue
+        v_src, v_load = lattice_step_response(
+            1.0, config.r_h, config.r_l, config.z0, config.fly_time, t
+        )
+        ref = max(abs(v_src), abs(v_load))
+        worst = max(worst, abs(wf.v_a[k] - v_src) / ref, abs(wf.v_b[k] - v_load) / ref)
+    return worst
+
+
+def _broken_engine(sample: int, delta: float = 1e-6):
+    """run_transient with the voltage at end B raised by ``delta`` V at ``sample``."""
+    def broken(config, u_a, r_a, u_b, r_b):
+        wf = run_transient(config, u_a, r_a, u_b, r_b)
+        wf.v_b[sample] += delta
+        return wf
+    return broken
 
 
 class TestStandardError:
@@ -205,7 +239,40 @@ class TestTrialWaveforms:
         assert wf.ugen_a.base is None and wf.ugen_b.base is None
 
 
+class TestEngineStepError:
+    @pytest.mark.parametrize("config", ENGINE_CONFIGS.values(), ids=ENGINE_CONFIGS)
+    def test_equals_per_sample_reference(self, config):
+        error = montecarlo._engine_step_error(config)
+        assert error == _per_sample_step_error(config, 12 * config.dt_divisor)
+        assert error <= montecarlo.ENGINE_TOLERANCE
+
+    @pytest.mark.parametrize("sample, seen", [
+        (0, True), (D - 1, True), (5 * D, False), (5 * D + 1, True), (12 * D - 1, True),
+    ], ids=["first", "end-of-first-block", "arrival", "after-arrival", "last"])
+    def test_sees_every_sample_but_the_arrivals(self, monkeypatch, sample, seen):
+        monkeypatch.setattr(montecarlo, "run_transient", _broken_engine(sample))
+        assert (montecarlo._engine_step_error(CFG) > montecarlo.ENGINE_TOLERANCE) is seen
+
+    def test_nan_sample_fails(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "run_transient", _broken_engine(5 * D + 1, math.nan))
+        error = montecarlo._engine_step_error(CFG)
+        assert math.isnan(error) and not error <= montecarlo.ENGINE_TOLERANCE
+
+
 class TestValidateSteadyState:
+    def test_engine_check_length_is_checked_first(self):
+        with pytest.raises(ValueError, match="dt_divisor 1000000 asks the line-engine check for "
+                                             "12000000 samples"):
+            validate_steady_state(PhysicalConfig(dt_divisor=10**6), math.inf, 1)
+
+    def test_broken_engine_fails_the_report(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "run_transient", _broken_engine(3 * D + D // 2))
+        report = validate_steady_state(CFG, 1000.0 / CFG.bandwidth, 1)
+        lines = report.render().splitlines()
+        assert not report.engine_ok and not report.all_ok
+        assert lines[0] == "line engine:" and lines[1].endswith("[FAIL]")
+        assert lines[-1] == "overall: FAIL"
+
     def test_rejects_short_duration(self):
         with pytest.raises(ValueError, match="0.2"):
             validate_steady_state(CFG, 0.1, 1)
@@ -237,5 +304,8 @@ class TestValidateSteadyState:
         # identical-by-construction symmetry holds regardless of cable effects
         assert report.hl_lh_ok
         assert report.power_ok
+        assert report.engine_ok
         text = report.render()
         assert "wire <v^2>" in text and "mean power" in text
+        assert text.startswith("line engine:\n")
+        assert text.endswith(f"\noverall: {'pass' if report.all_ok else 'FAIL'}")

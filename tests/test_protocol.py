@@ -98,6 +98,17 @@ class TestPhysicalConfig:
         assert CFG.sigma(CFG.r_h) == johnson_rms(CFG.temperature, CFG.r_h, CFG.bandwidth)
 
 
+class TestSearchParams:
+    def test_record_len_bounds(self):
+        assert SearchParams(record_len=2).record_len == 2
+        assert SearchParams(record_len=2**24).record_len == 2**24
+        with pytest.raises(ValueError, match=r"record_len must be in \[2, .*got 1$"):
+            SearchParams(record_len=1)
+        with pytest.raises(ValueError, match=r"record_len must be in \[2, 16777216 = 2\^24\], "
+                                             r"got 16777217"):
+            SearchParams(record_len=2**24 + 1)
+
+
 class TestResultantResistances:
     def test_demonstration_values(self):
         r_p, r_s = resultant_resistances(11e3, 2e3)
