@@ -22,6 +22,9 @@ from .protocol import PhysicalConfig, ScenarioKind, SearchParams, _require_finit
 
 __all__ = ["RunConfig", "parse_config", "cmd_tables", "cmd_waveforms", "cmd_validate", "main"]
 
+# Scenario numbers, as plain ints so that they print and parse as numbers.
+_SCENARIOS = tuple(int(kind) for kind in ScenarioKind)
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -30,7 +33,7 @@ class RunConfig:
     the configuration file."""
 
     physical: PhysicalConfig = field(default_factory=PhysicalConfig)
-    scenarios: tuple[int, ...] = (1, 2, 3, 4)
+    scenarios: tuple[int, ...] = _SCENARIOS
     tau_multipliers: tuple[int, ...] = (1, 2, 3, 4)
     n_trials: int = 1000
     n_cal: int = 200
@@ -41,7 +44,7 @@ class RunConfig:
     out_dir: str = "out"
 
     def __post_init__(self) -> None:
-        if not self.scenarios or any(s not in (1, 2, 3, 4) for s in self.scenarios):
+        if not self.scenarios or any(s not in _SCENARIOS for s in self.scenarios):
             raise ValueError(f"scenarios must be a nonempty subset of 1..4, got {self.scenarios}")
         if not self.tau_multipliers or any(m < 1 for m in self.tau_multipliers):
             raise ValueError("tau_multipliers must be positive integers")
@@ -226,7 +229,7 @@ def main(argv=None) -> int:
         p.add_argument("--seed", type=int, help="master seed (overrides config)")
         p.add_argument("--out", help="output directory (overrides config; default: out)")
         if with_trials:
-            p.add_argument("--scenario", type=int, choices=(1, 2, 3, 4),
+            p.add_argument("--scenario", type=int, choices=_SCENARIOS,
                            help="run a single scenario")
             p.add_argument("--trials", type=int, help="evaluation trials per scenario")
             p.add_argument("--jobs", type=int, help="worker processes (does not affect results)")
@@ -236,7 +239,7 @@ def main(argv=None) -> int:
 
     p_wave = sub.add_parser("waveforms", help="dump one trial's cable waveforms")
     common(p_wave)
-    p_wave.add_argument("--scenario", type=int, choices=(1, 2, 3, 4), required=True)
+    p_wave.add_argument("--scenario", type=int, choices=_SCENARIOS, required=True)
 
     p_val = sub.add_parser("validate", help="steady-state and engine validation")
     common(p_val)

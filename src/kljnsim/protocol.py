@@ -23,6 +23,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -84,7 +85,7 @@ class PhysicalConfig:
         if not self.r_h > self.r_l:
             raise ValueError(f"need r_h > r_l > 0, got r_h={self.r_h}, r_l={self.r_l}")
         # Below 2**53, so that the divisor converts to float exactly.
-        if not (10 <= self.dt_divisor < 2**53 and self.dt_divisor % 1 == 0):
+        if not (isinstance(self.dt_divisor, Integral) and 10 <= self.dt_divisor < 2**53):
             raise ValueError(f"dt_divisor must be an integer in [10, 2**53), got {self.dt_divisor}")
         # 4kTRB of finite positive inputs can still underflow to 0 or overflow.
         for key, resistance in (("r_l", self.r_l), ("r_h", self.r_h)):
@@ -166,7 +167,7 @@ class SearchParams:
 
     def __post_init__(self) -> None:
         _require_finite_positive(self, ("value_tol", "slope_tol", "s3_value_fraction"))
-        if not 2 <= self.record_len <= MAX_RECORD_LEN:
+        if not (isinstance(self.record_len, Integral) and 2 <= self.record_len <= MAX_RECORD_LEN):
             raise ValueError(f"record_len must be in [2, {MAX_RECORD_LEN} = 2^24], "
                              f"got {self.record_len}")
 
@@ -183,102 +184,87 @@ class GeneratorDrive:
     attempts: int = 1
 
 
-@dataclass(frozen=True)
-class _PartyTargets:
-    """A party's start rule."""
+def _public_targets(
+    scenario: ScenarioKind, high: bool, config: PhysicalConfig, params: SearchParams
+) -> tuple[float | None, float | None]:
+    """The public start value and slope of the party that holds R_H when
+    ``high`` is set, else of the R_L party; None is no condition.
 
-    sigma: float
-    target_value: float | None = None  # None: random interior start
-    target_slope: float | None = None  # None: no slope condition
-
-
-def _scenario_targets(
-    scenario: ScenarioKind, state: BitState, config: PhysicalConfig, params: SearchParams
-) -> tuple[_PartyTargets, _PartyTargets]:
+    The H party's targets are the L party's times slope_ratio, so that both
+    cable ends ramp alike during the first fly time.
+    """
+    if scenario == ScenarioKind.NO_DEFENSE:
+        return None, None
+    if scenario == ScenarioKind.ZERO_START_ONLY:
+        return 0.0, None
     sigma_l = config.sigma(config.r_l)
-    m_l = slope_rms(config.bandwidth, sigma_l)
-    m_ratio = slope_ratio(config.r_h, config.r_l, config.z0)
-    v_l = params.s3_value_fraction * sigma_l
-
-    def for_resistor(r: float) -> _PartyTargets:
-        sigma = config.sigma(r)
-        high = r == config.r_h
-        scale = m_ratio if high else 1.0
-        if scenario == ScenarioKind.NO_DEFENSE:
-            return _PartyTargets(sigma)
-        if scenario == ScenarioKind.ZERO_START_ONLY:
-            return _PartyTargets(sigma, 0.0)
-        if scenario == ScenarioKind.RATIO_START_NONZERO:
-            return _PartyTargets(sigma, scale * v_l, scale * m_l)
-        return _PartyTargets(sigma, 0.0, scale * m_l)
-
-    r_a, r_b = state.resistors(config)
-    return for_resistor(r_a), for_resistor(r_b)
+    scale = slope_ratio(config.r_h, config.r_l, config.z0) if high else 1.0
+    slope = scale * slope_rms(config.bandwidth, sigma_l)
+    if scenario == ScenarioKind.RATIO_START_NONZERO:
+        return scale * (params.s3_value_fraction * sigma_l), slope
+    return 0.0, slope
 
 
 def _prepare_party(
-    targets: _PartyTargets,
+    sigma: float,
+    target_value: float | None,
+    target_slope: float | None,
     config: PhysicalConfig,
     params: SearchParams,
     seed: np.random.SeedSequence,
     n_steps: int,
 ) -> GeneratorDrive:
-    """Pick the party's start point and the samples it plays from there.
+    """Pick the start point of a party whose record has RMS ``sigma``, and
+    the samples it plays from there.
 
-    A random start draws its index first and synthesizes only the window
-    [index - 1, index + n_steps] of its record: the played samples and one
-    neighbour on each side for the central-difference slope.
+    With no value target the start is random: it draws its index first and
+    synthesizes only the window [index - 1, index + n_steps] of its record,
+    the played samples and one neighbour on each side for the
+    central-difference slope.
 
-    A searched start synthesizes whole records until one holds a qualifying
-    start point.  Up to MAX_REGEN fresh records are tried at the base
-    tolerances; after that the slope tolerance (and the value tolerance, for
-    value-targeted searches wider than the zero window) doubles every
-    further MAX_REGEN records, and the achieved tolerances stay auditable in
-    the StartPoint.  The zero window never loosens, so after
-    10 * MAX_REGEN records the search gives up with a ValueError naming the
-    targets and the tolerances it last tried.
+    Otherwise whole records are synthesized until one holds a qualifying
+    start point.  Record ``attempt`` searches at loosening level
+    (attempt - 1) // MAX_REGEN, where the slope tolerance, and the value
+    tolerance of a nonzero value target, are 2**level times their base; the
+    achieved tolerances stay auditable in the StartPoint.  The zero window
+    never loosens, so after 10 * MAX_REGEN records the search gives up with
+    a ValueError naming the targets and the tolerances it last tried.
     """
     n = params.record_len
     max_start = n - 1 - n_steps
     if max_start < 1:
         raise ValueError(f"record_len {n} too short for {n_steps} transient steps")
-    if targets.target_value is None:
+    if target_value is None:
         child = seed.spawn(1)[0]
         rng = np.random.default_rng(child.spawn(1)[0])
         index = int(rng.integers(1, max_start + 1))
-        window = synthesize_window(
-            child, n, config.dt, config.bandwidth, targets.sigma, index - 1, n_steps + 2
-        )
+        window = synthesize_window(child, n, config.dt, config.bandwidth, sigma, index - 1,
+                                   n_steps + 2)
         slope = float((window[2] - window[0]) / (2.0 * config.dt))
         start = StartPoint(index, float(window[1]), slope, math.nan, math.nan)
         # A copy, so the played samples own their memory, as a searched
         # start's do.
         return GeneratorDrive(start, window[1 : 1 + n_steps].copy())
-    value_tol = params.value_tol
-    slope_tol = params.slope_tol
-    loosened = False
     for attempt in range(1, 10 * MAX_REGEN + 1):
-        if attempt > 1 and (attempt - 1) % MAX_REGEN == 0:
-            loosened = True
-            slope_tol *= 2.0
-            if targets.target_value != 0.0:
-                value_tol *= 2.0
+        level = (attempt - 1) // MAX_REGEN
+        # Powers of two scale exactly, as repeated doubling would.
+        slope_tol = params.slope_tol * 2**level
+        value_tol = params.value_tol * 2**level if target_value != 0.0 else params.value_tol
         child = seed.spawn(1)[0]
-        record = synthesize_record(child, n, config.dt, config.bandwidth, targets.sigma)
-        start = find_start_point(
-            record, targets.target_value, value_tol, targets.target_slope, slope_tol, max_start
-        )
+        record = synthesize_record(child, n, config.dt, config.bandwidth, sigma)
+        start = find_start_point(record, target_value, value_tol, target_slope, slope_tol,
+                                 max_start)
         if start is None:
             continue
         # A copy, so the played samples do not keep the whole record alive.
         played = record.samples[start.index : start.index + n_steps]
         played = -played if start.negate else played.copy()
-        return GeneratorDrive(start, played, loosened, attempt)
-    slope = ("any slope" if targets.target_slope is None
-             else f"slope {targets.target_slope:.6g} V/s within {slope_tol:g} relative")
+        return GeneratorDrive(start, played, level > 0, attempt)
+    slope = ("any slope" if target_slope is None
+             else f"slope {target_slope:.6g} V/s within {slope_tol:g} relative")
     raise ValueError(
         f"no start point in {10 * MAX_REGEN} records of {n} samples: value "
-        f"{targets.target_value:.6g} V within {value_tol:g} x RMS, {slope}; "
+        f"{target_value:.6g} V within {value_tol:g} x RMS, {slope}; "
         "widen the search tolerances or lengthen record_len"
     )
 
@@ -300,9 +286,8 @@ def prepare_generators(
     """
     if not isinstance(seed, np.random.SeedSequence):
         seed = np.random.SeedSequence(seed)
-    t_a, t_b = _scenario_targets(scenario, state, config, params)
-    seed_a, seed_b = seed.spawn(2)
-    return (
-        _prepare_party(t_a, config, params, seed_a, n_steps),
-        _prepare_party(t_b, config, params, seed_b, n_steps),
+    return tuple(
+        _prepare_party(config.sigma(r), *_public_targets(scenario, r == config.r_h, config, params),
+                       config, params, party_seed, n_steps)
+        for r, party_seed in zip(state.resistors(config), seed.spawn(2))
     )

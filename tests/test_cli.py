@@ -275,6 +275,19 @@ class TestCmdWaveforms:
 
 
 class TestMain:
+    @pytest.mark.parametrize("command", ["tables", "waveforms"])
+    def test_scenario_choices_print_as_numbers(self, capsys, command):
+        # numbers, not enum member names, in the help, the error and the echo
+        with pytest.raises(SystemExit) as info:
+            main([command, "--help"])
+        assert info.value.code == 0
+        assert "--scenario {1,2,3,4}" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as info:
+            main([command, "--scenario", "5"])
+        assert info.value.code == 2
+        assert "invalid choice: 5 (choose from 1, 2, 3, 4)" in capsys.readouterr().err
+        assert "scenarios = 1,2,3,4\n" in RunConfig().to_text()
+
     def test_tables_exit_zero(self, tmp_path, capsys):
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text(FAST_CFG + "scenarios = 1\n")

@@ -9,7 +9,7 @@ import pytest
 
 from kljnsim import protocol
 from kljnsim.line import run_transient
-from kljnsim.montecarlo import trial_waveforms
+from kljnsim.montecarlo import run_experiment, trial_waveforms, validate_steady_state
 from kljnsim.protocol import (
     MAX_REGEN,
     BitState,
@@ -89,13 +89,24 @@ class TestPhysicalConfig:
                                     {"r_h": math.inf}, {"r_l": math.nan}, {"z0": math.nan},
                                     {"temperature": math.inf}, {"bandwidth": math.nan},
                                     {"fly_time": math.inf}, {"dt_divisor": math.inf},
-                                    {"dt_divisor": math.nan}])
+                                    {"dt_divisor": math.nan}, {"dt_divisor": 100.0}])
     def test_rejects_bad_fields(self, kw):
         with pytest.raises(ValueError, match=next(iter(kw))):
             PhysicalConfig(**kw)
 
     def test_sigma_is_johnson_rms(self):
         assert CFG.sigma(CFG.r_h) == johnson_rms(CFG.temperature, CFG.r_h, CFG.bandwidth)
+
+    def test_numpy_integer_dt_divisor_runs_end_to_end(self):
+        params = SearchParams(record_len=2**16)
+        results = []
+        for dt_divisor in (100, np.int64(100)):
+            config = PhysicalConfig(dt_divisor=dt_divisor)
+            summary = run_experiment(config, ScenarioKind.ZERO_START_SLOPE_MATCHED, (1, 2), 4, 1,
+                                     n_cal=50, params=params)
+            report = validate_steady_state(config, 1000.0 / config.bandwidth, 1)
+            results.append((summary.csv_lines(), report.render()))
+        assert results[0] == results[1]
 
 
 class TestSearchParams:
@@ -107,6 +118,12 @@ class TestSearchParams:
         with pytest.raises(ValueError, match=r"record_len must be in \[2, 16777216 = 2\^24\], "
                                              r"got 16777217"):
             SearchParams(record_len=2**24 + 1)
+
+    def test_record_len_must_be_an_integer(self):
+        assert SearchParams(record_len=np.int64(2**16)).record_len == 2**16
+        with pytest.raises(ValueError, match=r"record_len must be in \[2, 16777216 = 2\^24\], "
+                                             r"got 65536\.0$"):
+            SearchParams(record_len=65536.0)
 
 
 class TestResultantResistances:
@@ -167,6 +184,23 @@ class TestBitState:
     def test_mirrored(self):
         assert BitState(BitState.HL.value[::-1]) == BitState.LH
         assert BitState.LH.resistors(CFG) == BitState.HL.resistors(CFG)[::-1]
+
+
+class TestPublicTargets:
+    @pytest.mark.parametrize("high", [True, False], ids=["H", "L"])
+    @pytest.mark.parametrize("scenario", list(ScenarioKind))
+    def test_each_scenario_is_one_rule(self, scenario, high):
+        params = SearchParams(s3_value_fraction=0.25)
+        k = slope_ratio(CFG.r_h, CFG.r_l, CFG.z0) if high else 1
+        sigma_l = CFG.sigma(CFG.r_l)
+        slope = k * slope_rms(CFG.bandwidth, sigma_l)
+        expected = {
+            ScenarioKind.NO_DEFENSE: (None, None),
+            ScenarioKind.ZERO_START_ONLY: (0.0, None),
+            ScenarioKind.RATIO_START_NONZERO: (k * (0.25 * sigma_l), slope),
+            ScenarioKind.ZERO_START_SLOPE_MATCHED: (0.0, slope),
+        }
+        assert protocol._public_targets(scenario, high, CFG, params) == expected[scenario]
 
 
 class TestPrepareGenerators:
@@ -262,19 +296,26 @@ class TestPrepareGenerators:
         assert drive_a.start.index == 1 and len(drive_a.samples) == n - 2
 
     @pytest.mark.parametrize(
-        "scenario", [ScenarioKind.ZERO_START_ONLY, ScenarioKind.ZERO_START_SLOPE_MATCHED]
+        "scenario", [ScenarioKind.ZERO_START_ONLY, ScenarioKind.RATIO_START_NONZERO,
+                     ScenarioKind.ZERO_START_SLOPE_MATCHED]
     )
     def test_search_gives_up_after_bounded_records(self, scenario, monkeypatch):
         # the zero window never loosens, so an unreachable one must end the
-        # search after 10 * MAX_REGEN records instead of regenerating forever
+        # search after 10 * MAX_REGEN records instead of regenerating forever;
+        # the last records search a slope window, and a nonzero value window,
+        # 2**9 = 512 times their base
         calls = []
         synthesize = protocol.synthesize_record
         monkeypatch.setattr(protocol, "synthesize_record",
                             lambda *args: calls.append(1) or synthesize(*args))
         params = SearchParams(record_len=2**16, value_tol=1e-12)
-        with pytest.raises(ValueError, match=r"no start point in 100 records .* 1e-12 x RMS"):
+        value_tol = "5.12e-10" if scenario == ScenarioKind.RATIO_START_NONZERO else "1e-12"
+        with pytest.raises(ValueError, match="no start point in 100 records ") as info:
             prepare_generators(scenario, BitState.HL, CFG, 19, 400, params)
         assert len(calls) == 10 * MAX_REGEN
+        assert f"within {value_tol} x RMS" in str(info.value)
+        if scenario != ScenarioKind.ZERO_START_ONLY:
+            assert "within 5.12 relative" in str(info.value)
 
 
 class TestRunBepTrial:
