@@ -17,7 +17,8 @@ import time
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
-from .montecarlo import _plan_steady_state, run_experiment, trial_waveforms, validate_steady_state
+from .montecarlo import _plan_experiment, _plan_steady_state, run_experiment
+from .montecarlo import trial_waveforms, validate_steady_state
 from .protocol import PhysicalConfig, ScenarioKind, SearchParams, _require_finite_positive
 
 __all__ = ["RunConfig", "parse_config", "cmd_tables", "cmd_waveforms", "cmd_validate", "main"]
@@ -48,10 +49,6 @@ class RunConfig:
             raise ValueError(f"scenarios must be a nonempty subset of 1..4, got {self.scenarios}")
         if not self.tau_multipliers or any(m < 1 for m in self.tau_multipliers):
             raise ValueError("tau_multipliers must be positive integers")
-        if self.n_trials < 1:
-            raise ValueError("n_trials must be >= 1")
-        if self.n_cal < 50:
-            raise ValueError("n_cal must be >= 50")
         if self.master_seed < 0:
             raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
         if self.jobs < 1:
@@ -160,7 +157,13 @@ def _prepare_out_dir(cfg: RunConfig) -> Path:
 
 
 def cmd_tables(cfg: RunConfig) -> list[Path]:
-    """Run the configured scenarios and write one success-probability CSV each."""
+    """Run the configured scenarios and write one success-probability CSV each.
+
+    Every scenario is planned before the output directory is made.
+    """
+    for scenario in cfg.scenarios:
+        _plan_experiment(cfg.physical, ScenarioKind(scenario), cfg.tau_multipliers, cfg.search,
+                         cfg.n_trials, cfg.n_cal)
     out_dir = _prepare_out_dir(cfg)
     paths = []
     for scenario in cfg.scenarios:
@@ -186,14 +189,19 @@ def cmd_tables(cfg: RunConfig) -> list[Path]:
 
 
 def cmd_waveforms(cfg: RunConfig, scenario: int) -> Path:
-    """Dump the cable waveforms of one two-fly-time trial as TSV."""
+    """Dump the cable waveforms of one two-fly-time trial as TSV.
+
+    The trial is planned before the output directory is made.
+    """
+    kind, fly_times = ScenarioKind(scenario), 2
+    _plan_experiment(cfg.physical, kind, [fly_times], cfg.search)
     out_dir = _prepare_out_dir(cfg)
     wf = trial_waveforms(
         cfg.physical,
-        ScenarioKind(scenario),
+        kind,
         trial=0,
         master_seed=cfg.master_seed,
-        fly_times=2,
+        fly_times=fly_times,
         params=cfg.search,
     )
     path = out_dir / f"waveforms_scenario_{scenario}.tsv"

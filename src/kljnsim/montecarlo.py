@@ -38,9 +38,9 @@ from .protocol import (
     PhysicalConfig,
     ScenarioKind,
     SearchParams,
+    _is_normal,
+    _public_targets,
     prepare_generators,
-    resultant_resistances,
-    steady_state_levels,
 )
 
 __all__ = [
@@ -54,6 +54,9 @@ __all__ = [
 
 _PHASE_CAL = 0
 _PHASE_EVAL = 1
+# Most trials of one phase: the task list of both phases, about 430 B per
+# trial, stays under about 1 GiB.
+MAX_TRIALS = 10**6
 
 # Steady-state validation: samples per segment, relative tolerance of the
 # wire-level checks, the standard-error limit of the zero checks, and the
@@ -125,14 +128,41 @@ def _run_trial(
     return rho_u, rho_i, coins, loosened
 
 
-def _window_steps(config: PhysicalConfig, fly_times: Sequence[int]) -> tuple[int, ...]:
-    """Sample count of each window of ``fly_times`` whole fly times, or ValueError."""
+def _plan_experiment(
+    config: PhysicalConfig,
+    scenario: ScenarioKind,
+    fly_times: Sequence[int],
+    params: SearchParams,
+    n_trials: int = 1,
+    n_cal: int = 50,
+) -> tuple[int, ...]:
+    """Sample count of each window of ``fly_times`` whole fly times, once
+    every check that a trial of ``scenario`` would make has passed;
+    ValueError for windows, trial counts or a config that cannot run.  After
+    this plan, a run can fail only in a defense search that finds no start
+    point.  The default counts, the least accepted, plan the single trial of
+    ``trial_waveforms``."""
     if len(fly_times) == 0:
         raise ValueError("the window list must be nonempty")
     for m in fly_times:
         if not isinstance(m, (int, np.integer)) or m < 1:
             raise ValueError(f"a window must be a positive whole number of fly times, got {m!r}")
-    return tuple(int(m) * config.dt_divisor for m in fly_times)
+    if n_trials < 1:
+        raise ValueError("n_trials must be >= 1")
+    if n_cal < 50:
+        raise ValueError(f"calibration needs n_cal >= 50, got {n_cal}")
+    if max(n_trials, n_cal) > MAX_TRIALS:
+        raise ValueError(f"n_trials {n_trials} and n_cal {n_cal} must be at most {MAX_TRIALS}")
+    tau_steps = tuple(int(m) * config.dt_divisor for m in fly_times)
+    if max(tau_steps) > params.record_len - 2:
+        raise ValueError(f"record_len {params.record_len} too short for {max(tau_steps)} "
+                         "transient steps")
+    in_band_bins(params.record_len, config.dt, config.bandwidth)
+    slopes = [_public_targets(scenario, high, config, params)[1] for high in (False, True)]
+    if not all(slope is None or _is_normal(slope) for slope in slopes):
+        raise ValueError(f"scenario {int(scenario)}'s public slope targets {slopes} V/s must be "
+                         "nonzero normal floats")
+    return tau_steps
 
 
 def _pool_class():
@@ -220,7 +250,7 @@ def trial_waveforms(
     """Waveforms of one evaluation-phase trial in the HL state, ``fly_times``
     whole fly times long, built exactly as run_experiment builds it (useful
     for dumping what an experiment saw)."""
-    (n_steps,) = _window_steps(config, [fly_times])
+    (n_steps,) = _plan_experiment(config, scenario, [fly_times], params)
     return _trial(config, scenario, _PHASE_EVAL, trial, master_seed, n_steps, params)[0]
 
 
@@ -242,11 +272,7 @@ def run_experiment(
     the two channels share one fallback coin per (trial, window).  Both
     phases run in one pass, on one pool when ``jobs`` > 1.
     """
-    if n_trials < 1:
-        raise ValueError("n_trials must be >= 1")
-    if n_cal < 50:
-        raise ValueError(f"calibration needs n_cal >= 50, got {n_cal}")
-    tau_steps = _window_steps(config, tau_multipliers)
+    tau_steps = _plan_experiment(config, scenario, tau_multipliers, params, n_trials, n_cal)
     run = functools.partial(
         _run_trial, config, scenario, master_seed=master_seed, tau_steps=tau_steps,
         params=params,
@@ -264,8 +290,6 @@ def run_experiment(
     p_ei = ok_i.mean(axis=0)
     return ExperimentSummary(
         scenario=scenario,
-        # built after the trials, so a window too long for any record fails
-        # in the search's length check before it could overflow a float
         taus=np.array([m * config.fly_time for m in tau_multipliers]),
         p_ev=p_ev,
         se_v=np.array([standard_error(p, n_trials) for p in p_ev]),
@@ -287,11 +311,7 @@ class SteadyStateReport:
     ``engine_error`` is the worst relative error of the step response.
     ``ms_voltage_theory`` and ``ms_current_theory`` are the ideal-line
     references (``ideal_line_steady_state`` on the records' in-band bins) that
-    the level checks use.  ``ms_voltage_lumped`` (4kT*Rp*B) and
-    ``ms_current_lumped`` (4kT*B/Rs) are the zero-length-wire levels, kept
-    for information: the line's shunt capacitance t_f/z0 moves the wire
-    levels away from them whenever it is not negligible against the
-    terminations inside the band.
+    the level checks use.
     """
 
     engine_error: float
@@ -300,11 +320,9 @@ class SteadyStateReport:
     ms_voltage: float
     ms_voltage_se: float
     ms_voltage_theory: float
-    ms_voltage_lumped: float
     ms_current: float
     ms_current_se: float
     ms_current_theory: float
-    ms_current_lumped: float
     hl_lh_voltage_diff: float
     hl_lh_voltage_diff_se: float
     hl_lh_current_diff: float
@@ -354,11 +372,9 @@ class SteadyStateReport:
             f"  wire <v^2>: {self.ms_voltage:.6e} +- {self.ms_voltage_se:.2e} V^2 | "
             f"ideal line = {self.ms_voltage_theory:.6e} V^2 | "
             f"rel dev {rel_v:+.4f} (tol {LEVEL_TOLERANCE:.2%}) [{flag(self.voltage_ok)}]",
-            f"    (lumped 4kT*Rp*B = {self.ms_voltage_lumped:.6e} V^2, for information)",
             f"  wire <i^2>: {self.ms_current:.6e} +- {self.ms_current_se:.2e} A^2 | "
             f"ideal line = {self.ms_current_theory:.6e} A^2 | "
             f"rel dev {rel_i:+.4f} (tol {LEVEL_TOLERANCE:.2%}) [{flag(self.current_ok)}]",
-            f"    (lumped 4kT*B/Rs = {self.ms_current_lumped:.6e} A^2, for information)",
             f"  HL-LH <v^2> diff: {self.hl_lh_voltage_diff:+.3e} "
             f"({abs(self.hl_lh_voltage_diff) / self.hl_lh_voltage_diff_se:.2f} se), "
             f"<i^2> diff: {self.hl_lh_current_diff:+.3e} "
@@ -425,12 +441,11 @@ def _engine_step_error(config: PhysicalConfig) -> float:
     return worst
 
 
-def _plan_steady_state(
-    config: PhysicalConfig, duration: float
-) -> tuple[int, np.ndarray, np.ndarray]:
+def _plan_steady_state(config: PhysicalConfig, duration: float) -> tuple[int, float, float]:
     """Segments per state for ``duration`` s of ``validate_steady_state``, and
-    the ideal-line steady state ``(v2, i2)`` of HL on one segment's in-band
-    bins; ValueError for a duration or config that cannot be validated."""
+    the end-averaged ideal-line levels ``<v^2>`` and ``<i^2>`` of HL on one
+    segment's in-band bins; ValueError for a duration or config that cannot
+    be validated."""
     # The line-engine check's step response may be no longer than a segment.
     n_engine = ENGINE_FLY_TIMES * config.dt_divisor
     if n_engine > SEGMENT_SAMPLES:
@@ -443,8 +458,9 @@ def _plan_steady_state(
     if duration < min_duration:
         raise ValueError(f"duration {duration} s is below the minimum {min_duration} s (1000/B)")
     seg_duration = SEGMENT_SAMPLES * config.dt
-    planned = duration / seg_duration  # may be inf; round() takes 1000.5 to 1000
-    if planned > MAX_SEGMENTS + 0.5:
+    # A time step that underflows to 0 plans infinitely many segments.
+    planned = duration / seg_duration if seg_duration else math.inf
+    if planned > MAX_SEGMENTS + 0.5:  # round() takes 1000.5 to 1000
         count = round(planned) if planned < 1e15 else f"{planned:.3g}"
         raise ValueError(
             f"duration {duration} s plans {count} segments per state, above the maximum of "
@@ -453,11 +469,14 @@ def _plan_steady_state(
         )
     r_a, r_b = BitState.HL.resistors(config)
     freqs = np.arange(1, in_band_bins(SEGMENT_SAMPLES, config.dt, config.bandwidth) + 1)
-    v2_line, i2_line = ideal_line_steady_state(
+    levels = [float(np.mean(ms)) for ms in ideal_line_steady_state(
         r_a, r_b, config.z0, config.fly_time, freqs / seg_duration,
         config.sigma(r_a) ** 2, config.sigma(r_b) ** 2,
-    )
-    return max(1, round(planned)), v2_line, i2_line
+    )]
+    # The standard errors sum squares of wire levels, which must stay normal floats.
+    if not all(_is_normal(level * level) for level in levels):
+        raise ValueError(f"ideal-line levels <v^2>, <i^2> = {levels} must both have normal squares")
+    return max(1, round(planned)), *levels
 
 
 def validate_steady_state(config: PhysicalConfig, duration: float, seed: int) -> SteadyStateReport:
@@ -470,14 +489,13 @@ def validate_steady_state(config: PhysicalConfig, duration: float, seed: int) ->
     independent cold-start segments, discarding the settle window of each.
     Compares the end-averaged HL wire mean squares, within
     LEVEL_TOLERANCE, against the ideal-line steady state of Johnson
-    generators evaluated on the in-band bins of one segment (the lumped
-    levels 4kT*Rp*B and 4kT*B/Rs are reported alongside), and the HL-LH
+    generators evaluated on the in-band bins of one segment, and the HL-LH
     difference and the mean power flow against zero, within SIGMA_LIMIT
     standard errors.  A duration that plans more than MAX_SEGMENTS segments
-    per state, or a config whose reference overflows, is rejected before
-    either check starts.
+    per state, or a config whose reference overflows or underflows, is
+    rejected before either check starts.
     """
-    n_seg, v2_line, i2_line = _plan_steady_state(config, duration)
+    n_seg, v2_theory, i2_theory = _plan_steady_state(config, duration)
     engine_error = _engine_step_error(config)
     seg_duration = SEGMENT_SAMPLES * config.dt
     gamma_prod = reflection_coefficient(config.r_h, config.z0) * reflection_coefficient(
@@ -498,19 +516,16 @@ def validate_steady_state(config: PhysicalConfig, duration: float, seed: int) ->
     power, power_se = mean_se(p_hl)
     v2l, v2l_se = mean_se(v2_lh)
     i2l, i2l_se = mean_se(i2_lh)
-    _, r_s = resultant_resistances(config.r_h, config.r_l)
     return SteadyStateReport(
         engine_error=engine_error,
         duration=n_seg * seg_duration,
         n_segments=n_seg,
         ms_voltage=v2,
         ms_voltage_se=v2_se,
-        ms_voltage_theory=float(np.mean(v2_line)),
-        ms_voltage_lumped=steady_state_levels(config)[BitState.HL],
+        ms_voltage_theory=v2_theory,
         ms_current=i2,
         ms_current_se=i2_se,
-        ms_current_theory=float(np.mean(i2_line)),
-        ms_current_lumped=(config.sigma(r_s) / r_s) ** 2,
+        ms_current_theory=i2_theory,
         hl_lh_voltage_diff=v2 - v2l,
         hl_lh_voltage_diff_se=math.hypot(v2_se, v2l_se),
         hl_lh_current_diff=i2 - i2l,

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass, field
 from numbers import Integral
 
@@ -43,9 +44,7 @@ __all__ = [
     "SearchParams",
     "GeneratorDrive",
     "MAX_REGEN",
-    "resultant_resistances",
     "slope_ratio",
-    "steady_state_levels",
     "prepare_generators",
 ]
 
@@ -55,6 +54,11 @@ MAX_REGEN = 10
 # Longest record: one record, its transforms and the direct-sum phase matrix
 # of a window stay under about 0.5 GiB.
 MAX_RECORD_LEN = 2**24
+
+
+def _is_normal(x: float) -> bool:
+    """Whether ``x`` is a finite nonzero float that is not subnormal."""
+    return sys.float_info.min <= abs(x) < math.inf
 
 
 def _require_finite_positive(obj, names) -> None:
@@ -87,13 +91,14 @@ class PhysicalConfig:
         # Below 2**53, so that the divisor converts to float exactly.
         if not (isinstance(self.dt_divisor, Integral) and 10 <= self.dt_divisor < 2**53):
             raise ValueError(f"dt_divisor must be an integer in [10, 2**53), got {self.dt_divisor}")
-        # 4kTRB of finite positive inputs can still underflow to 0 or overflow.
+        # 4kTRB of finite positive inputs can still underflow or overflow.
         for key, resistance in (("r_l", self.r_l), ("r_h", self.r_h)):
             sigma = self.sigma(resistance)
-            if not 0 < sigma < math.inf:
+            if not _is_normal(sigma * sigma):
                 raise ValueError(f"temperature {self.temperature}, {key} {resistance} and "
                                  f"bandwidth {self.bandwidth} give a Johnson RMS sqrt(4kTRB) "
-                                 f"of {sigma}; it must be finite and positive")
+                                 f"of {sigma}; it must be finite and positive, and its square "
+                                 "a normal float")
 
     @property
     def dt(self) -> float:
@@ -125,28 +130,11 @@ class ScenarioKind(enum.IntEnum):
     ZERO_START_SLOPE_MATCHED = 4
 
 
-def resultant_resistances(r_h: float, r_l: float) -> tuple[float, float]:
-    """Parallel and serial resultant of the two connected resistors."""
-    if r_h <= 0 or r_l <= 0:
-        raise ValueError(f"resistances must be positive, got ({r_h}, {r_l})")
-    return r_h * r_l / (r_h + r_l), r_h + r_l
-
-
 def slope_ratio(r_h: float, r_l: float, z0: float) -> float:
     """Public starting-slope ratio (r_h + z0)/(r_l + z0) between H and L parties."""
     if r_h <= 0 or r_l <= 0 or z0 <= 0:
         raise ValueError(f"inputs must be positive, got ({r_h}, {r_l}, {z0})")
     return (r_h + z0) / (r_l + z0)
-
-
-def steady_state_levels(config: PhysicalConfig) -> dict[BitState, float]:
-    """Lumped-model mean-square wire voltage 4kT*R_p*B for each joint state."""
-    levels = {}
-    for state in BitState:
-        r_a, r_b = state.resistors(config)
-        r_p, _ = resultant_resistances(r_a, r_b)
-        levels[state] = config.sigma(r_p) ** 2
-    return levels
 
 
 @dataclass(frozen=True)

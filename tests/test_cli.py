@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kljnsim
-from kljnsim import protocol
+from kljnsim import cli, montecarlo, protocol
 from kljnsim.cli import RunConfig, _leaves, cmd_tables, cmd_waveforms, main, parse_config
 from kljnsim.montecarlo import validate_steady_state
 from kljnsim.protocol import PhysicalConfig
@@ -68,6 +68,18 @@ NON_DEFAULT = {
 # a line break splits the line
 ECHOABLE_OUT_DIRS = ["runs/a=b", "runs/a b", "runs/\u00e4", ""]
 UNECHOABLE_OUT_DIRS = ["runs/a#b", " runs", "runs ", "runs\t", "a\nb", "a\rb", "a\u2028b"]
+
+
+# One-key configs: every RunConfig leaf but jobs, scenarios and out_dir, at
+# each of these values, over a base config that plans small runs.
+GRID_KEYS = [key for key, _, _ in _leaves(RunConfig()) if key not in ("jobs", "scenarios",
+                                                                       "out_dir")]
+GRID_VALUES = ["0", "-1", "1e-300", "1e300", "nan", "inf", "1.5", "3", str(10**12), "9e15", ""]
+GRID_BASE = "n_cal = 50\nn_trials = 2\nrecord_len = 65536\nsteady_duration = 0.2097152\n"
+
+
+class _Planned(Exception):
+    """Raised in place of a command's work once its plan has passed."""
 
 
 def _write(tmp_path, text):
@@ -326,7 +338,8 @@ class TestMain:
     @pytest.mark.parametrize("physical", [
         "temperature = 1e-310\n",  # 4kTRB underflows: sigma_L = sigma_H = 0
         "temperature = 1e300\nr_h = 1e300\n",  # 4kTRB overflows: sigma_H = inf
-    ], ids=["zero_sigma", "infinite_sigma"])
+        "temperature = 1e-300\n",  # 4kTRB = sigma_L^2 = 5.5e-316 is subnormal
+    ], ids=["zero_sigma", "infinite_sigma", "subnormal_square"])
     def test_degenerate_johnson_rms_exit_two_before_writing(self, tmp_path, capsys, command,
                                                              physical):
         out = tmp_path / "out"
@@ -341,7 +354,12 @@ class TestMain:
         # sigma_H = 4.4e148 is finite, but the ideal-line reference overflows
         ("r_h = 1e300\n", "steady state of resistances (1e+300, 2000.0) and z0 50.0 overflows"),
         ("bandwidth = 1e15\n", "is not below the Nyquist frequency"),
-    ], ids=["huge_resistor", "band_above_nyquist"])
+        # the ideal-line <v^2> underflows to 0
+        ("z0 = 1e-300\n", "must both have normal squares"),
+        # the levels are normal, but the standard errors, which sum their
+        # squares, would underflow to 0
+        ("temperature = 1e-150\n", "must both have normal squares"),
+    ], ids=["huge_resistor", "band_above_nyquist", "tiny_z0", "tiny_levels"])
     def test_validate_unusable_reference_exit_two_before_writing(self, tmp_path, capsys,
                                                                   physical, message):
         out = tmp_path / "out"
@@ -445,7 +463,9 @@ class TestMain:
         # only 95 segments, but the line-engine check would need 1.2e10 samples
         ("t_f = 1\ndt_divisor = 1000000000", "0.2",
          "12000000000 samples (12 fly times), above the maximum of 2097152"),
-    ], ids=["segments", "oracle", "oracle-long-fly-time"])
+        # the time step t_f/dt_divisor underflows to 0, and with it a segment
+        ("t_f = 5e-324", "6.4", "plans inf segments per state"),
+    ], ids=["segments", "oracle", "oracle-long-fly-time", "zero-step"])
     def test_validate_fine_grid_exit_two_at_once(self, tmp_path, capsys, config, duration,
                                                  message):
         t0 = time.perf_counter()
@@ -461,9 +481,58 @@ class TestMain:
         cfg = _write(tmp_path, "tau_multipliers = 1" + "0" * 400 + "\n")
         rc = main(["tables", "--config", cfg, "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
-        # the window outgrows any record, which the first trial's search reports
+        # the window outgrows any record, which the plan reports before any trial
         assert rc == 2 and "Traceback" not in err
         assert f"record_len 1048576 too short for {10**402} transient steps" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", [["tables"], ["waveforms", "--scenario", "1"]])
+    def test_record_without_band_exit_two_before_writing(self, tmp_path, capsys, command):
+        # 1000 samples of 1e-7 s hold no bin of the 5 kHz band
+        out = tmp_path / "out"
+        rc = main(command + ["--config", _write(tmp_path, "record_len = 1000\n"),
+                             "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2 and "Traceback" not in err
+        assert "record too short: only 0 in-band frequency bins" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["n_trials", "n_cal"])
+    def test_trial_count_above_cap_exit_two_before_writing(self, tmp_path, monkeypatch, capsys,
+                                                           key):
+        # 10^12 trials would need hundreds of terabytes for the task list alone
+        def no_tasks(*args, **kwargs):
+            raise AssertionError("built the task list")
+        monkeypatch.setattr(montecarlo, "_collect", no_tasks)
+        out = tmp_path / "out"
+        rc = main(["tables", "--config", _write(tmp_path, f"{key} = {10**12}\n"),
+                   "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2 and "Traceback" not in err
+        assert f"must be at most {montecarlo.MAX_TRIALS}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", GRID_VALUES)
+    @pytest.mark.parametrize("key", GRID_KEYS)
+    def test_one_key_config_is_planned_or_rejected_before_writing(self, tmp_path, monkeypatch,
+                                                                    capsys, key, value):
+        # Each command either passes its plan and reaches its work, here a
+        # stand-in that raises _Planned, or exits 2 with nothing written.
+        def work(*args, **kwargs):
+            raise _Planned
+        for name in ("run_experiment", "trial_waveforms", "validate_steady_state"):
+            monkeypatch.setattr(cli, name, work)
+        config = _write(tmp_path, GRID_BASE + f"{key} = {value}\n")
+        for command in (["tables"], ["waveforms", "--scenario", "4"], ["validate"]):
+            out = tmp_path / command[0]
+            try:
+                rc = main(command + ["--config", config, "--out", str(out)])
+            except _Planned:
+                continue
+            err = capsys.readouterr().err
+            assert rc == 2, (command, err)
+            assert "configuration error:" in err and "Traceback" not in err, (command, err)
+            assert not out.exists(), command
 
     def test_unreachable_search_exit_two(self, tmp_path, capsys):
         cfg_file = tmp_path / "run.cfg"

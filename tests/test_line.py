@@ -25,7 +25,7 @@ from kljnsim.line import (
     run_transient,
 )
 from kljnsim.noise import BOLTZMANN
-from kljnsim.protocol import BitState, PhysicalConfig, resultant_resistances, steady_state_levels
+from kljnsim.protocol import PhysicalConfig
 
 CFG = PhysicalConfig()
 R_H, R_L, Z0, TF, DT = CFG.r_h, CFG.r_l, CFG.z0, CFG.fly_time, CFG.dt
@@ -368,9 +368,9 @@ class TestIdealLineSteadyState:
     MS_H, MS_L = CFG.sigma(R_H) ** 2, CFG.sigma(R_L) ** 2
 
     def _lumped(self):
-        _, r_s = resultant_resistances(R_H, R_L)
+        # the zero-length-wire levels 4kT*Rp*B and 4kT*B/Rs
         scale = 4.0 * BOLTZMANN * CFG.temperature * CFG.bandwidth
-        return steady_state_levels(CFG)[BitState.HL], scale / r_s
+        return scale * R_H * R_L / (R_H + R_L), scale / (R_H + R_L)
 
     def test_zero_length_line_is_lumped(self):
         v_lumped, i_lumped = self._lumped()

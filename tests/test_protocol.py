@@ -3,7 +3,6 @@ and the bit-exchange trial that montecarlo composes from them."""
 
 import math
 
-import mpmath
 import numpy as np
 import pytest
 
@@ -17,9 +16,7 @@ from kljnsim.protocol import (
     ScenarioKind,
     SearchParams,
     prepare_generators,
-    resultant_resistances,
     slope_ratio,
-    steady_state_levels,
 )
 from kljnsim.noise import estimate_slope, johnson_rms, slope_rms, synthesize_record
 
@@ -126,25 +123,6 @@ class TestSearchParams:
             SearchParams(record_len=65536.0)
 
 
-class TestResultantResistances:
-    def test_demonstration_values(self):
-        r_p, r_s = resultant_resistances(11e3, 2e3)
-        expected_p = float(mpmath.mpf(11e3) * 2e3 / (11e3 + 2e3))
-        assert r_p == pytest.approx(expected_p, rel=1e-14)
-        assert r_p == pytest.approx(1692.3, abs=0.05)
-        assert r_s == 13e3
-
-    def test_equal_resistors(self):
-        assert resultant_resistances(5.0, 5.0) == (2.5, 10.0)
-
-    def test_symmetric(self):
-        assert resultant_resistances(11e3, 2e3) == resultant_resistances(2e3, 11e3)
-
-    def test_rejects_non_positive(self):
-        with pytest.raises(ValueError):
-            resultant_resistances(0.0, 2e3)
-
-
 class TestSlopeRatio:
     def test_demonstration_value(self):
         assert slope_ratio(11e3, 2e3, 50.0) == pytest.approx(11050.0 / 2050.0, rel=1e-15)
@@ -161,19 +139,6 @@ class TestSlopeRatio:
     def test_rejects_non_positive(self):
         with pytest.raises(ValueError):
             slope_ratio(11e3, 2e3, 0.0)
-
-
-class TestSteadyStateLevels:
-    def test_hl_level_value(self):
-        levels = steady_state_levels(CFG)
-        k = mpmath.mpf("1.380649e-23")
-        expected = float(4 * k * 7e15 * (mpmath.mpf(11e3) * 2e3 / 13e3) * 5e3)
-        assert levels[BitState.HL] == pytest.approx(expected, rel=1e-12)
-        assert math.sqrt(levels[BitState.HL]) == pytest.approx(1.809, abs=5e-4)
-
-    def test_hl_equals_lh_exactly(self):
-        levels = steady_state_levels(CFG)
-        assert levels[BitState.HL] == levels[BitState.LH]
 
 
 class TestBitState:
@@ -338,7 +303,8 @@ class TestRunBepTrial:
         arrival_jumps = steps[d - 2 : d + 1]
         # no reflection discontinuity: the arrival steps blend in with the
         # sampling noise and stay far below the equilibrium voltage scale
-        sigma_cable = math.sqrt(steady_state_levels(CFG)[BitState.HL])
+        # the RMS of the lumped HL wire voltage, sqrt(4kT*Rp*B)
+        sigma_cable = CFG.sigma(CFG.r_h * CFG.r_l / (CFG.r_h + CFG.r_l))
         assert arrival_jumps.max() < 1e-3 * sigma_cable
         assert arrival_jumps.max() < 10.0 * np.median(steps)
 
