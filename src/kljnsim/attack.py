@@ -66,6 +66,10 @@ def signs_from_calibration(rho_u: np.ndarray, rho_i: np.ndarray) -> DecisionSign
     for arr in (np.asarray(rho_u, dtype=float), np.asarray(rho_i, dtype=float)):
         if len(arr) < 2:
             raise ValueError("calibration needs at least 2 trials")
+        # Scaled by a power of two to a largest magnitude in [0.5, 1), so that
+        # the squares of the standard error neither overflow nor underflow;
+        # the scaling is exact and the sign test is scale-free.
+        arr = np.ldexp(arr, -math.frexp(float(np.max(np.abs(arr))))[1])
         mean = float(np.mean(arr))
         se = float(np.std(arr, ddof=1)) / math.sqrt(len(arr))
         out.append(0 if abs(mean) < 2.0 * se else (1 if mean > 0 else -1))

@@ -12,21 +12,28 @@ exactly.  With the default parameters a record holds only ~524 in-band
 frequency bins, so an ensemble-normalized record would show a ~2% RMS
 spread between seeds; the exchange protocol (and its tolerance checks)
 assume both parties know the generator amplitudes exactly.  By Parseval
-that normalization needs only the coefficients, so a short window of a
-record (a random start plays a few hundred samples) is computed directly
-from the in-band bins by ``synthesize_window``, without the full record.
+that normalization needs only the coefficients, so any sample of a record
+is a direct sum over the in-band bins: a short window of a record (a random
+start plays a few hundred samples) is computed by ``synthesize_window``
+without the full record.
 
-The start-point search implements the defense: scan a pre-generated record
-for the earliest sample matching a target value and target slope within
-relative tolerances, or the sign-flipped target pair (negating a zero-mean
-Gaussian record yields an equally valid sample path).
+The start-point search implements the defense: the earliest sample of a
+record matching a target value and target slope within relative
+tolerances, or the sign-flipped target pair (negating a zero-mean Gaussian
+record yields an equally valid sample path).  A band far below the Nyquist
+frequency is exactly sampled on a grid of every D-th sample, which three
+inverse FFTs of length n/D give with the first two derivatives; cubic
+Hermite bounds on each grid interval keep the intervals that can hold a
+match, and those are refined in order, one short direct-sum window at a
+time, up to the first match.  So the search forms the full record only
+when no grid step D > 1 holds the band.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,16 +44,21 @@ __all__ = [
     "johnson_rms",
     "slope_rms",
     "in_band_bins",
+    "grid_step",
     "synthesize_record",
     "synthesize_window",
-    "estimate_slope",
     "find_start_point",
 ]
 
 BOLTZMANN = 1.380649e-23  # J/K, exact SI value
 
-# Samples the start-point search scans at a time before it looks for a match.
-SEARCH_BLOCK = 2**15
+# Largest grid step of the start-point search.  Its Hermite bounds widen as
+# step**4, so a larger step brackets too many intervals to refine.
+MAX_GRID_STEP = 128
+# Relative widening of every bound of the search for rounding: the grid,
+# the direct sums and the bounds themselves are accurate to about 1e-12 of
+# the record's amplitude bound.
+_ROUNDING_SLACK = 1e-9
 
 
 def johnson_rms(temperature: float, resistance: float, bandwidth: float) -> float:
@@ -78,16 +90,23 @@ def slope_rms(bandwidth: float, sigma: float) -> float:
 
 @dataclass(frozen=True)
 class NoiseRecord:
-    """A sampled band-limited Gaussian generator voltage.
+    """A sampled band-limited Gaussian generator voltage of
+    n = step * len(samples) samples.
 
-    samples     sampled voltage record (V); sample RMS equals target_rms
+    samples     samples 0, step, 2*step, ... of the record (V); with step 1,
+                every sample, whose sample RMS equals target_rms
     dt          sampling interval (s)
     target_rms  generator RMS the record is scaled to (V)
+    coeffs      complex coefficients of in-band bins 1 .. n_bins that every
+                sample is a sum of
+    step        grid step of ``samples``
     """
 
     samples: np.ndarray
     dt: float
     target_rms: float
+    coeffs: np.ndarray = field(repr=False)
+    step: int = 1
 
     def __post_init__(self) -> None:
         if len(self.samples) < 2:
@@ -96,9 +115,6 @@ class NoiseRecord:
             raise ValueError("dt must be positive")
         if not 0 < self.target_rms < math.inf:
             raise ValueError("target_rms must be finite and positive")
-
-    def __len__(self) -> int:
-        return len(self.samples)
 
 
 @dataclass(frozen=True)
@@ -145,6 +161,18 @@ def in_band_bins(n: int, dt: float, bandwidth: float) -> int:
     return n_bins
 
 
+def grid_step(n: int, dt: float, bandwidth: float) -> int:
+    """The start-point search's grid step D for n-sample records: the
+    largest power of two up to MAX_GRID_STEP that divides n and keeps the
+    band below the Nyquist frequency of every D-th sample, n_bins < n/(2D);
+    1 when no larger step does."""
+    n_bins = in_band_bins(n, dt, bandwidth)
+    step = MAX_GRID_STEP
+    while step > 1 and not (n % step == 0 and 2 * step * n_bins < n):
+        step //= 2
+    return step
+
+
 def _in_band_coefficients(
     seed: int | np.random.SeedSequence,
     n: int,
@@ -161,6 +189,13 @@ def _in_band_coefficients(
     return rng.standard_normal(n_bins) + 1j * rng.standard_normal(n_bins)
 
 
+def _parseval_scale(coeffs: np.ndarray, sigma: float) -> float:
+    """The factor c such that c * Re sum_k X_k exp(2*pi*i*k*m/n) is sample m
+    of a record of sample RMS sigma: sigma*sqrt(2/sum_k |X_k|^2)."""
+    power = float(np.sum(coeffs.real**2 + coeffs.imag**2))
+    return sigma * math.sqrt(2.0 / power)
+
+
 def _irfft_samples(coeffs: np.ndarray, n: int, sigma: float) -> np.ndarray:
     """The n samples of the in-band coefficients, scaled to sample RMS sigma."""
     # irfft pads the spectrum (DC, then the in-band bins) with zero bins to n.
@@ -175,6 +210,7 @@ def synthesize_record(
     dt: float,
     bandwidth: float,
     sigma: float,
+    step: int = 1,
 ) -> NoiseRecord:
     """Synthesize a stationary Gaussian record with a flat spectrum on (0, B].
 
@@ -183,23 +219,55 @@ def synthesize_record(
     everything above B) stay exactly zero; an inverse real FFT produces the
     samples, which are then scaled so the sample RMS equals ``sigma``.
 
+    With ``step`` > 1 only every step-th sample is made, by an inverse FFT
+    of length n/step, scaled by the Parseval RMS of the coefficients; the
+    step must divide n and keep n_bins < n/(2*step), as ``grid_step``'s
+    does.  These samples equal the full record's to about 1e-14 of sigma.
+
     Deterministic given the seed.  Requires n >= 2, a finite sigma > 0, at
     least ten in-band bins (n*dt*B >= 10) and B below the Nyquist frequency
     1/(2*dt).
     """
     coeffs = _in_band_coefficients(seed, n, dt, bandwidth, sigma)
-    return NoiseRecord(_irfft_samples(coeffs, n, sigma), dt, sigma)
+    if step == 1:
+        return NoiseRecord(_irfft_samples(coeffs, n, sigma), dt, sigma, coeffs)
+    if not (step > 1 and n % step == 0 and 2 * step * len(coeffs) < n):
+        raise ValueError(f"step {step} does not divide {n} samples into a grid that holds "
+                         f"{len(coeffs)} in-band bins below its Nyquist frequency")
+    return NoiseRecord(_on_grid(coeffs, n // step, _parseval_scale(coeffs, sigma)), dt, sigma,
+                       coeffs, step)
+
+
+def _on_grid(spectrum: np.ndarray, count: int, scale: float) -> np.ndarray:
+    """scale * Re sum_k S_k exp(2*pi*i*k*m/count) for m < count, by an
+    inverse FFT: with bins 1 .. len(spectrum) below count/2, every
+    (n/count)-th sample of the n-sample record of in-band bins S."""
+    samples = np.fft.irfft(np.concatenate(([0j], spectrum)), count)
+    samples *= scale * (count / 2)
+    return samples
 
 
 @functools.lru_cache(maxsize=4)
 def _phase_matrix(n: int, n_bins: int, count: int) -> np.ndarray:
     """exp(2*pi*i*j*k/n) for rows j < count and bins k = 1 .. n_bins, with
     j*k reduced mod n in integers before it becomes an angle (read-only)."""
-    j = np.arange(count)[:, None]
-    k = np.arange(1, n_bins + 1)
-    phases = np.exp((2j * math.pi / n) * ((j * k) % n))
+    angles = np.arange(count)[:, None] * np.arange(1, n_bins + 1)
+    np.remainder(angles, n, out=angles)
+    # In place, so that only the integer angles and the result are held.
+    phases = np.multiply(angles, 2j * math.pi / n)
+    del angles
+    np.exp(phases, out=phases)
     phases.flags.writeable = False
     return phases
+
+
+def _direct_sum(coeffs: np.ndarray, n: int, sigma: float, start: int, count: int) -> np.ndarray:
+    """Samples start .. start+count-1 of the n-sample record of ``coeffs``
+    at sample RMS sigma, each summed over the in-band bins; ``start`` is
+    taken mod n."""
+    shift = np.exp((2j * math.pi / n) * ((np.arange(1, len(coeffs) + 1) * start) % n))
+    sums = _phase_matrix(n, len(coeffs), count) @ (coeffs * shift)
+    return _parseval_scale(coeffs, sigma) * sums.real
 
 
 def synthesize_window(
@@ -224,25 +292,89 @@ def synthesize_window(
     coeffs = _in_band_coefficients(seed, n, dt, bandwidth, sigma)
     if not (0 <= start and 1 <= count and start + count <= n):
         raise ValueError(f"window of {count} samples from {start} is not inside {n} samples")
-    n_bins = len(coeffs)
-    if count * n_bins > n:
+    if count * len(coeffs) > n:
         return _irfft_samples(coeffs, n, sigma)[start : start + count].copy()
-    shift = np.exp((2j * math.pi / n) * ((np.arange(1, n_bins + 1) * start) % n))
-    sums = _phase_matrix(n, n_bins, count) @ (coeffs * shift)
-    power = float(np.sum(coeffs.real**2 + coeffs.imag**2))
-    return (sigma * math.sqrt(2.0 / power)) * sums.real
+    return _direct_sum(coeffs, n, sigma, start, count)
 
 
-def estimate_slope(record: NoiseRecord, index: int | np.ndarray) -> float | np.ndarray:
-    """Central-difference derivative estimate at an interior sample, or at
-    each of an array of interior samples."""
-    if not (1 <= np.min(index) and np.max(index) <= len(record) - 2):
-        raise IndexError(
-            f"index {index} out of range for central difference on "
-            f"{len(record)} samples"
-        )
-    s = record.samples
-    return (s[index + 1] - s[index - 1]) / (2.0 * record.dt)
+def _cubic_range(y0, y1, d0, d1, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Elementwise least and greatest value on [0, h] of the cubic with end
+    values y0, y1 and end derivatives d0, d1 (its cubic Hermite
+    interpolant): the end values and the values at the interior critical
+    points."""
+    # p(s) = y0 + c1*s + c2*s^2 + c3*s^3 on s in [0, 1]
+    c1 = h * d0
+    c2 = 3.0 * (y1 - y0) - h * (2.0 * d0 + d1)
+    c3 = 2.0 * (y0 - y1) + h * (d0 + d1)
+    lo, hi = np.minimum(y0, y1), np.maximum(y0, y1)
+    # The roots of p'(s) = c1 + 2*c2*s + 3*c3*s^2 in the cancellation-free
+    # form q/(3*c3) and c1/q; a root outside (0, 1), or none, stands at s = 0.
+    disc = c2 * c2 - 3.0 * c1 * c3
+    q = -(c2 + np.copysign(np.sqrt(np.maximum(disc, 0.0)), c2))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for root in (q / (3.0 * c3), c1 / q):
+            s = np.where((disc >= 0.0) & (root > 0.0) & (root < 1.0), root, 0.0)
+            p = y0 + s * (c1 + s * (c2 + s * c3))
+            lo, hi = np.minimum(lo, p), np.maximum(hi, p)
+    return lo, hi
+
+
+def _possible_intervals(
+    record: NoiseRecord,
+    hi: int,
+    target_value: float,
+    window: float,
+    target_slope: float | None,
+    slope_tol_rel: float,
+) -> np.ndarray:
+    """The first sample D*m of each grid interval [D*m, D*(m+1)] that holds
+    a sample in [1, hi] and can hold a match, in order."""
+    coeffs, step, grid = record.coeffs, record.step, len(record.samples)
+    n = step * grid
+    scale = _parseval_scale(coeffs, record.target_rms)
+    # Bin frequencies per sample, and bounds on the j-th derivative per
+    # sample: sum_k a_k w_k^j for the scaled bin amplitudes a_k.
+    w = (2.0 * math.pi / n) * np.arange(1, len(coeffs) + 1)
+    amp = scale * np.abs(coeffs)
+    bound = [float(np.sum(amp * w**j)) for j in range(6)]
+    x = record.samples
+    slope = _on_grid(1j * w * coeffs, grid, scale)
+    curve = _on_grid(-w * w * coeffs, grid, scale)
+    hermite = step**4 / 384.0
+    v_err = hermite * bound[4] + _ROUNDING_SLACK * (bound[0] + abs(target_value) + window)
+    s_err = hermite * bound[5] + bound[3] / 6.0
+
+    def meets(low, high, center, half, err):
+        """Whether each range [low, high], widened by err, meets the window
+        center +- half."""
+        return (low - err <= center + half) & (high + err >= center - half)
+
+    # Interval m ends at grid point m + 1, which wraps to 0 after the last
+    # grid point.
+    m = np.arange(hi // step + 1)
+    x0, x1, d0, d1 = x[m], x[(m + 1) % grid], slope[m], slope[(m + 1) % grid]
+    # The Bernstein control points of the value cubic enclose it, and rule
+    # out most intervals before the exact ranges are found.
+    inner0, inner1 = x0 + (step / 3.0) * d0, x1 - (step / 3.0) * d1
+    hull_lo = np.minimum(np.minimum(x0, x1), np.minimum(inner0, inner1))
+    hull_hi = np.maximum(np.maximum(x0, x1), np.maximum(inner0, inner1))
+    near = np.zeros(len(m), dtype=bool)
+    for sign in (1.0, -1.0):
+        near |= meets(hull_lo, hull_hi, sign * target_value, window, v_err)
+    m, x0, x1, d0, d1 = m[near], x0[near], x1[near], d0[near], d1[near]
+    v_lo, v_hi = _cubic_range(x0, x1, d0, d1, step)
+    s_lo, s_hi = _cubic_range(d0, d1, curve[m], curve[(m + 1) % grid], step)
+    possible = np.zeros(len(m), dtype=bool)
+    for sign in (1.0, -1.0):
+        both = meets(v_lo, v_hi, sign * target_value, window, v_err)
+        if target_slope is not None:
+            # |c/a - 1| <= tol is |c - a| <= tol*|a|, in per-sample units.
+            center = sign * target_slope * record.dt
+            half = slope_tol_rel * abs(center)
+            err = s_err + _ROUNDING_SLACK * (bound[1] + abs(center) + half)
+            both &= meets(s_lo, s_hi, center, half, err)
+        possible |= both
+    return step * m[possible]
 
 
 def find_start_point(
@@ -258,12 +390,24 @@ def find_start_point(
 
     A sample i qualifies when |s[i] - target_value| <= value_tol_rel * RMS
     and, if a slope target is given, |slope(i)/target_slope - 1| <=
-    slope_tol_rel where slope(i) is the central difference;
-    ``target_slope=None`` means no slope condition.  Negating a zero-mean
-    Gaussian record gives an equally valid sample path, so the mirrored pair
-    is searched too.  If the mirrored match comes strictly first, the
-    returned StartPoint carries ``negate=True`` and reports the value/slope
-    of the sign-flipped record, which meets the original targets verbatim.
+    slope_tol_rel where slope(i) is the central difference
+    (s[i+1] - s[i-1])/(2*dt); ``target_slope=None`` means no slope
+    condition.  Negating a zero-mean Gaussian record gives an equally valid
+    sample path, so the mirrored pair is searched too.  If the mirrored
+    match comes strictly first, the returned StartPoint carries
+    ``negate=True`` and reports the value/slope of the sign-flipped record,
+    which meets the original targets verbatim.
+
+    The samples s are the direct sums of ``synthesize_window``, formed only
+    where a match is possible.  The record's grid of every D-th sample, with
+    the first two derivatives there, bounds each interval [D*m, D*(m+1)]:
+    the cubic Hermite interpolants of the value and of the slope, widened by
+    their error bounds D^4/384 * max|x''''| and D^4/384 * max|x'''''|, and
+    the slope also by the central difference's error max|x'''|/6 (all per
+    sample; max|x^(j)| <= sum_k |a_k| w_k^j for bin amplitudes a_k and
+    frequencies w_k).  The intervals whose bounds meet a target window of
+    either sign are refined in order, D + 2 samples at a time, and the first
+    that holds a match holds the earliest.
 
     ``max_index`` caps the search so enough samples remain after the start
     for a full transient run.  Returns None when nothing qualifies.
@@ -275,24 +419,18 @@ def find_start_point(
             raise ValueError("target_slope must be nonzero (use None for slope-free)")
         if slope_tol_rel <= 0:
             raise ValueError("slope_tol_rel must be positive")
-    s = record.samples
-    hi = min(max_index, len(s) - 2)
-    window = value_tol_rel * record.target_rms
-    # The record is scanned in blocks up to the first block that holds a
-    # match of either sign, whose earliest match is then the earliest of all.
-    # | |s| - |target_value| | <= window holds for every sample within the
-    # window of +target_value or -target_value; each sign's own conditions
-    # are then tested on these candidates only.
-    for lo in range(1, hi + 1, SEARCH_BLOCK):
-        dist = np.abs(s[lo : min(lo + SEARCH_BLOCK, hi + 1)])
-        if target_value != 0.0:
-            dist -= abs(target_value)
-            np.abs(dist, out=dist)
-        candidates = np.flatnonzero(dist <= window) + lo
-        if candidates.size == 0:
-            continue
-        values = s[candidates]
-        slopes = estimate_slope(record, candidates)
+    step, dt, rms = record.step, record.dt, record.target_rms
+    n = step * len(record.samples)
+    hi = min(max_index, n - 2)
+    window = value_tol_rel * rms
+    for first in _possible_intervals(record, hi, target_value, window, target_slope,
+                                     slope_tol_rel).tolist():
+        # Samples first - 1 .. first + step, for the samples the interval
+        # holds and their neighbours.
+        s = _direct_sum(record.coeffs, n, rms, first - 1, step + 2)
+        index = np.arange(max(first, 1), min(first + step - 1, hi) + 1)
+        values = s[index - first + 1]
+        slopes = (s[index - first + 2] - s[index - first]) / (2.0 * dt)
         hits = []
         for sign in (1.0, -1.0):
             hit = np.abs(values - sign * target_value) <= window
@@ -304,14 +442,14 @@ def find_start_point(
             break
     else:
         return None
-    first = either[0]
-    index, negate = int(candidates[first]), not hits[0][first]
+    hit = either[0]
+    negate = not hits[0][hit]
     sign = -1.0 if negate else 1.0
-    value = sign * s[index]
-    slope = sign * slopes[first]
-    achieved_value = abs(value - target_value) / record.target_rms
+    value = float(sign * values[hit])
+    slope = float(sign * slopes[hit])
+    achieved_value = abs(value - target_value) / rms
     if target_slope is not None:
         achieved_slope = abs(slope / target_slope - 1.0)
     else:
         achieved_slope = math.nan
-    return StartPoint(index, value, slope, achieved_value, achieved_slope, negate)
+    return StartPoint(int(index[hit]), value, slope, achieved_value, achieved_slope, negate)

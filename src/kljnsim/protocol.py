@@ -31,6 +31,7 @@ import numpy as np
 from .noise import (
     StartPoint,
     find_start_point,
+    grid_step,
     johnson_rms,
     slope_rms,
     synthesize_record,
@@ -210,8 +211,12 @@ def _prepare_party(
     the played samples and one neighbour on each side for the
     central-difference slope.
 
-    Otherwise whole records are synthesized until one holds a qualifying
-    start point.  Record ``attempt`` searches at loosening level
+    Otherwise records are drawn until one holds a qualifying start point.
+    Each is synthesized on the search grid of every ``grid_step``-th
+    sample only, and ``find_start_point`` forms its samples by direct sums
+    where a match is possible; the played samples are the direct-sum window
+    of ``synthesize_window``, so no full record is made when the grid step
+    exceeds 1.  Record ``attempt`` searches at loosening level
     (attempt - 1) // MAX_REGEN, where the slope tolerance, and the value
     tolerance of a nonzero value target, are 2**level times their base; the
     achieved tolerances stay auditable in the StartPoint.  The zero window
@@ -233,21 +238,21 @@ def _prepare_party(
         # A copy, so the played samples own their memory, as a searched
         # start's do.
         return GeneratorDrive(start, window[1 : 1 + n_steps].copy())
+    step = grid_step(n, config.dt, config.bandwidth)
     for attempt in range(1, 10 * MAX_REGEN + 1):
         level = (attempt - 1) // MAX_REGEN
         # Powers of two scale exactly, as repeated doubling would.
         slope_tol = params.slope_tol * 2**level
         value_tol = params.value_tol * 2**level if target_value != 0.0 else params.value_tol
         child = seed.spawn(1)[0]
-        record = synthesize_record(child, n, config.dt, config.bandwidth, sigma)
+        record = synthesize_record(child, n, config.dt, config.bandwidth, sigma, step)
         start = find_start_point(record, target_value, value_tol, target_slope, slope_tol,
                                  max_start)
         if start is None:
             continue
-        # A copy, so the played samples do not keep the whole record alive.
-        played = record.samples[start.index : start.index + n_steps]
-        played = -played if start.negate else played.copy()
-        return GeneratorDrive(start, played, level > 0, attempt)
+        played = synthesize_window(child, n, config.dt, config.bandwidth, sigma, start.index,
+                                   n_steps)
+        return GeneratorDrive(start, -played if start.negate else played, level > 0, attempt)
     slope = ("any slope" if target_slope is None
              else f"slope {target_slope:.6g} V/s within {slope_tol:g} relative")
     raise ValueError(

@@ -31,6 +31,9 @@ Criteria:
   10  waveform signature: arrival discontinuity present without defense,
       absent with the full defense
 
+Two more checks ride along: the default tables' bytes, against the digests
+``test_golden`` pins, and the README's scenario-4 table row at n_cal = 2000.
+
 Here r = (R_L/R_H)*((R_H+Z0)/(R_L+Z0))^2 is the ratio of the L-side to the
 H-side first-fly-time wire mean square for Johnson-scaled generators.  The
 reference values of criteria 3, 4 and 8 are computed from the configuration
@@ -44,6 +47,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy.optimize import brentq
+from test_golden import assert_digests
 
 from kljnsim.attack import window_stats
 from kljnsim.cli import RunConfig, cmd_waveforms, parse_config
@@ -306,7 +310,8 @@ def test_criterion_08_noise_quality():
 def test_criterion_09_exact_property_suite():
     details = []
 
-    # temperature-scaling decision invariance, gamma in {0.25, 4}
+    # temperature-scaling decision invariance, gamma in {0.25, 4, 4^450,
+    # 4^-450}; the last two scale every statistic by 2^+-900
     def decisions(gamma: float):
         cfg = PhysicalConfig(temperature=gamma * CFG.temperature)
         s = run_experiment(cfg, ScenarioKind.ZERO_START_ONLY, TAUS, 30, MASTER_SEED, n_cal=50)
@@ -314,7 +319,7 @@ def test_criterion_09_exact_property_suite():
 
     base_v, base_i = decisions(1.0)
     temp_ok = True
-    for gamma in (0.25, 4.0):
+    for gamma in (0.25, 4.0, 4.0**450, 4.0**-450):
         dv, di = decisions(gamma)
         temp_ok &= np.array_equal(dv, base_v) and np.array_equal(di, base_i)
     wf_base = trial_waveforms(CFG, ScenarioKind.NO_DEFENSE, 0, MASTER_SEED, 2)
@@ -378,3 +383,21 @@ def test_criterion_10_waveform_signature(tmp_path):
         f"scenario 4 = {jumps[4]:.2f} (<=10)",
     )
     assert ok, line
+
+
+def test_default_tables_are_pinned(experiments):
+    # the CSVs `kljn-sim tables` writes at the defaults, byte for byte
+    assert_digests({
+        f"defaults/scenario_{int(scenario)}.csv": ("\n".join(summary.csv_lines()) + "\n").encode()
+        for scenario, (summary, _) in experiments.items()
+    })
+
+
+def test_scenario4_residual_leak_at_n_cal_2000():
+    # the README's n_cal = 2000 row of "Scenario 4's residual leak": a long
+    # rehearsal finds the sign from the second fly time on
+    summary = run_experiment(CFG, ScenarioKind.ZERO_START_SLOPE_MATCHED, TAUS, N_TRIALS,
+                             MASTER_SEED, n_cal=2000)
+    assert [(s.sign_u, s.sign_i) for s in summary.signs] == [(0, 0), (1, 0), (1, 1), (1, 1)]
+    assert np.round(summary.p_ev, 3).tolist() == [0.509, 0.555, 0.574, 0.573]
+    assert np.round(summary.p_ei, 3).tolist() == [0.509, 0.493, 0.551, 0.562]

@@ -92,6 +92,16 @@ class TestSignsFromCalibration:
         with pytest.raises(ValueError):
             signs_from_calibration(np.array([1.0]), np.array([1.0]))
 
+    @pytest.mark.parametrize("exponent", [1000, -1000])
+    def test_signs_do_not_depend_on_the_scale(self, exponent):
+        # at 2^1000 the squared deviations overflow and at 2^-1000 they
+        # underflow, unless the calibration rescales them first
+        rng = np.random.default_rng(2)
+        for mean in (-0.3, -0.1, 0.0, 0.1, 0.3):
+            rho_u, rho_i = rng.normal(mean, 1.0, 50), rng.normal(-mean, 0.5, 50)
+            scaled = signs_from_calibration(np.ldexp(rho_u, exponent), np.ldexp(rho_i, exponent))
+            assert scaled == signs_from_calibration(rho_u, rho_i)
+
 
 class TestCalibrateSign:
     """Sign calibration on labeled HL rehearsal trials, inside run_experiment."""

@@ -7,6 +7,10 @@ report, so together they pin the arithmetic of synthesis, the start-point
 search, propagation, the statistics and the decisions.  The digests depend on
 numpy's FFT and BLAS builds, as ``test_montecarlo``'s pinned rows do.
 
+The default configuration's four CSVs take 4800 trials to make, so the
+acceptance module checks them against DIGESTS on the tables its experiments
+fixture computes anyway.
+
 A change that alters the arithmetic on purpose updates DIGESTS in the same
 change.  A mismatch prints the new digest of each changed file as a DIGESTS
 line, ready to copy.
@@ -33,6 +37,12 @@ DIGESTS = {
     "waveforms/waveforms_scenario_4.tsv":
         "9a6eba76e16a067572fab0f215f7855afe41b6a74e92e58f8a6a48e975cceaa9",
     "validate/validation.txt": "61c0b96d650570dd5f244f2183bd652d20008c173d2852157e9a403cd175cad2",
+    # The default configuration's tables, checked by the acceptance module
+    # on the summaries its experiments fixture computes.
+    "defaults/scenario_1.csv": "02c5f6329d19a62ae8a8ea5b05ac8db6423127f03f77e3d871e6f0c804125c72",
+    "defaults/scenario_2.csv": "806bfead803e5c267c934f571fbd91b35c8009388fa27366943655c0eeb400d1",
+    "defaults/scenario_3.csv": "5b7d879260c9118f6e980927b62a529e9cbd785a0246338355f8a39f8182ee73",
+    "defaults/scenario_4.csv": "de925b61dba8bb9d2a35b035ce6fe01d48d453e6046fd44e6c44408bdd427476",
 }
 
 REDUCED = "n_cal = 50\nn_trials = 30\nrecord_len = 65536\n"
@@ -47,14 +57,19 @@ def _config(tmp_path, text):
     return str(path)
 
 
-def _assert_pinned(run, out, names):
-    """Each file of ``names`` in ``out`` has the digest DIGESTS holds for
-    ``run``/name."""
-    new = {f"{run}/{name}": hashlib.sha256((out / name).read_bytes()).hexdigest()
-           for name in names}
+def assert_digests(files):
+    """Each ``run``/name key of ``files`` maps to bytes whose digest DIGESTS
+    holds for it."""
+    new = {key: hashlib.sha256(data).hexdigest() for key, data in files.items()}
     changed = {key: digest for key, digest in new.items() if DIGESTS[key] != digest}
     assert not changed, "output bytes changed; the new digests are:\n" + "".join(
         f'    "{key}": "{digest}",\n' for key, digest in changed.items())
+
+
+def _assert_pinned(run, out, names):
+    """Each file of ``names`` in ``out`` has the digest DIGESTS holds for
+    ``run``/name."""
+    assert_digests({f"{run}/{name}": (out / name).read_bytes() for name in names})
 
 
 def test_reduced_tables(tmp_path):

@@ -2,11 +2,13 @@
 and the bit-exchange trial that montecarlo composes from them."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from test_noise import estimate_slope, reference_search
 
-from kljnsim import protocol
+from kljnsim import noise, protocol
 from kljnsim.line import run_transient
 from kljnsim.montecarlo import run_experiment, trial_waveforms, validate_steady_state
 from kljnsim.protocol import (
@@ -18,7 +20,7 @@ from kljnsim.protocol import (
     prepare_generators,
     slope_ratio,
 )
-from kljnsim.noise import estimate_slope, johnson_rms, slope_rms, synthesize_record
+from kljnsim.noise import johnson_rms, slope_rms, synthesize_record, synthesize_window
 
 CFG = PhysicalConfig()
 # short records keep the search-based scenarios fast in unit tests; 2^18 still
@@ -27,19 +29,44 @@ FAST = SearchParams(record_len=2**18)
 
 
 def _prepare_with_records(monkeypatch, *args):
-    """prepare_generators(*args), each drive paired with the record it plays.
+    """prepare_generators(*args), each drive paired with the arguments of
+    the synthesize_record call that drew the record it plays.
 
     The parties synthesize in turn, A then B, so each party's record is the
     last one synthesized within its ``attempts``.
     """
-    records = []
+    calls = []
     synthesize = protocol.synthesize_record
     with monkeypatch.context() as m:
-        m.setattr(protocol, "synthesize_record",
-                  lambda *a: records.append(synthesize(*a)) or records[-1])
+        m.setattr(protocol, "synthesize_record", lambda *a: calls.append(a) or synthesize(*a))
         drive_a, drive_b = prepare_generators(*args)
-    assert len(records) == drive_a.attempts + drive_b.attempts
-    return (drive_a, records[drive_a.attempts - 1]), (drive_b, records[-1])
+    assert len(calls) == drive_a.attempts + drive_b.attempts
+    return (drive_a, calls[drive_a.attempts - 1]), (drive_b, calls[-1])
+
+
+def _reference_starts(scenario, seed, n_steps, params):
+    """(index, negate, attempts) of each party's drive of
+    prepare_generators(scenario, HL, CFG, seed, n_steps, params), or None
+    for a party that gives up, rebuilt from full records and the reference
+    search on the loosening schedule of ``_prepare_party``."""
+    n = params.record_len
+    starts = []
+    for r, party_seed in zip(BitState.HL.resistors(CFG), np.random.SeedSequence(seed).spawn(2)):
+        target_value, target_slope = protocol._public_targets(scenario, r == CFG.r_h, CFG, params)
+        for attempt in range(1, 10 * MAX_REGEN + 1):
+            level = (attempt - 1) // MAX_REGEN
+            slope_tol = params.slope_tol * 2**level
+            value_tol = params.value_tol * 2**level if target_value != 0.0 else params.value_tol
+            record = synthesize_record(party_seed.spawn(1)[0], n, CFG.dt, CFG.bandwidth,
+                                       CFG.sigma(r))
+            start = reference_search(record, target_value, value_tol, target_slope, slope_tol,
+                                     n - 1 - n_steps)
+            if start is not None:
+                starts.append((start.index, start.negate, attempt))
+                break
+        else:
+            starts.append(None)
+    return starts
 
 
 def _random_start_records(seed, n_steps, params=FAST):
@@ -244,9 +271,57 @@ class TestPrepareGenerators:
             monkeypatch, ScenarioKind.ZERO_START_SLOPE_MATCHED, BitState.HL, CFG, 27, n, FAST
         )
         assert {drive.start.negate for drive, _ in pairs} == {True, False}
-        for drive, record in pairs:
-            played = record.samples[drive.start.index : drive.start.index + n]
-            assert np.array_equal(drive.samples, -played if drive.start.negate else played)
+        for drive, (seed, n_rec, dt, bandwidth, sigma, step) in pairs:
+            assert step == 128
+            i, sign = drive.start.index, -1.0 if drive.start.negate else 1.0
+            # the played samples are synthesize_window's, bit for bit ...
+            window = synthesize_window(seed, n_rec, dt, bandwidth, sigma, i, n)
+            assert np.array_equal(drive.samples, sign * window)
+            # ... and the full record's within rounding
+            played = synthesize_record(seed, n_rec, dt, bandwidth, sigma).samples[i : i + n]
+            assert np.max(np.abs(drive.samples - sign * played)) <= 1e-12 * sigma
+            assert abs(drive.start.value - drive.samples[0]) <= 1e-12 * sigma
+
+    @pytest.mark.parametrize("scenario", [ScenarioKind.ZERO_START_ONLY,
+                                          ScenarioKind.RATIO_START_NONZERO,
+                                          ScenarioKind.ZERO_START_SLOPE_MATCHED])
+    def test_searched_starts_match_the_full_record_reference(self, scenario):
+        # 2^16 samples hold 32 bins, so some records hold no start.  A zero
+        # window of 1e-5 x RMS misses most crossings, and a slope window of
+        # 2e-4 loosens over several levels before a record holds a start.
+        tight = (dict(value_tol=1e-5) if scenario == ScenarioKind.ZERO_START_ONLY
+                 else dict(slope_tol=2e-4))
+        attempts = []
+        for params, seeds in ((SearchParams(record_len=2**16), range(50)),
+                              (SearchParams(record_len=2**16, **tight), range(4))):
+            for seed in seeds:
+                drives = prepare_generators(scenario, BitState.HL, CFG, seed, 400, params)
+                got = [(d.start.index, d.start.negate, d.attempts) for d in drives]
+                assert got == _reference_starts(scenario, seed, 400, params), (params, seed)
+                attempts += [d.attempts for d in drives]
+        assert max(attempts) > 1
+        if scenario != ScenarioKind.ZERO_START_ONLY:
+            assert max(attempts) > 3 * MAX_REGEN
+
+    def test_searched_starts_hold_no_full_record(self):
+        # A 2^20-sample float64 record is 8 MiB.  The search holds the
+        # 8192-point grid and windows of 130 samples, and the played samples
+        # are a 400-sample direct sum; the direct sums' phase matrices are
+        # built afresh here, so their cost counts.  Seed 38's H party takes
+        # 3 records.
+        noise._phase_matrix.cache_clear()
+        tracemalloc.start()
+        try:
+            attempts = []
+            for seed in (38, 0, 1):
+                drives = prepare_generators(ScenarioKind.ZERO_START_SLOPE_MATCHED, BitState.HL,
+                                            CFG, seed, 400)
+                attempts += [d.attempts for d in drives]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert max(attempts) >= 3
+        assert peak < 8 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
     def test_rejects_records_too_short_for_the_transient(self):
         n = 2**16
