@@ -37,6 +37,7 @@ __all__ = [
     "reflection_coefficient",
     "lattice_step_response",
     "ideal_line_steady_state",
+    "periodic_steady_state",
     "run_transient",
 ]
 
@@ -266,3 +267,46 @@ def ideal_line_steady_state(
     if not all(map(math.isfinite, (v2_a, v2_b, i2_a, i2_b))):
         raise ValueError(overflow)
     return np.array([v2_a, v2_b]), np.array([i2_a, i2_b])
+
+
+def periodic_steady_state(
+    r_a: float,
+    r_b: float,
+    z0: float,
+    delay_steps: int,
+    n: int,
+    u_a: np.ndarray,
+    u_b: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Settled response of the engine to n-periodic drives, bin by bin.
+
+    ``u_a`` and ``u_b`` hold the complex amplitudes U_k of bins
+    k = 1 .. len(u_a) of drives whose sample m is Re sum_k U_k exp(2*pi*i*k*m/n).
+    A wave crosses the line in ``delay_steps`` samples, a phase
+    theta = 2*pi*k*delay_steps/n, and an end of reflection coefficient
+    G = (r - z0)/(r + z0) emits out = (1 - G)*u + G*b, so the settled
+    emissions are
+
+        O_a = [(1 - G_a)U_a + G_a e^{-j theta}(1 - G_b)U_b] / (1 - G_a G_b e^{-2j theta})
+
+    and O_b the same with a and b swapped, and the waves arriving are
+    B_a = e^{-j theta} O_b and B_b = e^{-j theta} O_a.  The engine's own
+    per-end formulas i = (U - B)/(r + z0) and v = z0*i + B then give the
+    amplitudes ``(v_a, v_b, i_a, i_b)`` of the four wire series in the same
+    convention.  A cold-started engine tends to these as (G_a G_b)^m after m
+    round trips.  The phases reduce k*delay_steps mod n in integers.
+    """
+    gamma_a = reflection_coefficient(r_a, z0)
+    gamma_b = reflection_coefficient(r_b, z0)
+    k = np.arange(1, len(u_a) + 1)
+    delay = int(delay_steps) % n
+    one_way = np.exp((-2j * math.pi / n) * (k * delay % n))
+    round_trip = np.exp((-2j * math.pi / n) * (2 * k * delay % n))
+    launch_a, launch_b = (1.0 - gamma_a) * u_a, (1.0 - gamma_b) * u_b
+    denominator = 1.0 - gamma_a * gamma_b * round_trip
+    out_a = (launch_a + gamma_a * one_way * launch_b) / denominator
+    out_b = (launch_b + gamma_b * one_way * launch_a) / denominator
+    arrive_a, arrive_b = one_way * out_b, one_way * out_a
+    i_a = (u_a - arrive_a) / (r_a + z0)
+    i_b = (u_b - arrive_b) / (r_b + z0)
+    return z0 * i_a + arrive_a, z0 * i_b + arrive_b, i_a, i_b

@@ -29,10 +29,18 @@ from .line import (
     _propagate,
     ideal_line_steady_state,
     lattice_step_response,
+    periodic_steady_state,
     reflection_coefficient,
     run_transient,
 )
-from .noise import in_band_bins, synthesize_record
+from .noise import (
+    _in_band_coefficients,
+    _on_grid,
+    _parseval_scale,
+    grid_step,
+    in_band_bins,
+    synthesize_record,
+)
 from .protocol import (
     BitState,
     PhysicalConfig,
@@ -65,6 +73,11 @@ SEGMENT_SAMPLES = 2**21
 LEVEL_TOLERANCE = 0.02
 SIGMA_LIMIT = 3.0
 MAX_SEGMENTS = 1000
+# Settled-engine check: the limit of the worst error of a propagated
+# segment's waves, after its discard window of SETTLE_TIMES settle times,
+# against the periodic steady state, relative to each series' RMS.
+PERIODIC_TOLERANCE = 1e-12
+SETTLE_TIMES = 30.0
 # Line-engine check: fly times of the step response compared with the
 # bounce diagram, and the limit of its worst relative error.
 ENGINE_FLY_TIMES = 12
@@ -305,16 +318,19 @@ def run_experiment(
 
 @dataclass
 class SteadyStateReport:
-    """The line engine's step response against the bounce diagram, and
-    measured long-run wire statistics against the passive-security identities.
+    """The line engine's step response against the bounce diagram and its
+    settled waves against the periodic steady state, and long-run wire
+    statistics against the passive-security identities.
 
-    ``engine_error`` is the worst relative error of the step response.
-    ``ms_voltage_theory`` and ``ms_current_theory`` are the ideal-line
-    references (``ideal_line_steady_state`` on the records' in-band bins) that
-    the level checks use.
+    ``engine_error`` is the worst relative error of the step response, and
+    ``periodic_error`` that of one propagated segment per state after its
+    discard window.  ``ms_voltage_theory`` and ``ms_current_theory`` are the
+    ideal-line references (``ideal_line_steady_state`` on the records'
+    in-band bins) that the level checks use.
     """
 
     engine_error: float
+    periodic_error: float
     duration: float
     n_segments: int
     ms_voltage: float
@@ -333,6 +349,10 @@ class SteadyStateReport:
     @property
     def engine_ok(self) -> bool:
         return self.engine_error <= ENGINE_TOLERANCE
+
+    @property
+    def periodic_ok(self) -> bool:
+        return self.periodic_error <= PERIODIC_TOLERANCE
 
     @property
     def voltage_ok(self) -> bool:
@@ -355,8 +375,8 @@ class SteadyStateReport:
 
     @property
     def all_ok(self) -> bool:
-        return (self.engine_ok and self.voltage_ok and self.current_ok and self.hl_lh_ok
-                and self.power_ok)
+        return (self.engine_ok and self.periodic_ok and self.voltage_ok and self.current_ok
+                and self.hl_lh_ok and self.power_ok)
 
     def render(self) -> str:
         def flag(ok: bool) -> str:
@@ -368,6 +388,8 @@ class SteadyStateReport:
             "line engine:",
             f"  step response vs bounce-diagram oracle: worst rel err {self.engine_error:.3e} "
             f"(limit {ENGINE_TOLERANCE:.0e}) [{flag(self.engine_ok)}]",
+            f"  settled waves vs periodic steady state: worst rel err {self.periodic_error:.3e} "
+            f"(limit {PERIODIC_TOLERANCE:.0e}) [{flag(self.periodic_ok)}]",
             f"steady state over {self.duration:g} s per state ({self.n_segments} segments)",
             f"  wire <v^2>: {self.ms_voltage:.6e} +- {self.ms_voltage_se:.2e} V^2 | "
             f"ideal line = {self.ms_voltage_theory:.6e} V^2 | "
@@ -394,30 +416,79 @@ def _steady_segments(
     discard: int,
     chunks_per_seg: int,
     seed: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-chunk means of v^2, i^2 (end-averaged) and v*i at A."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Per-chunk means of v^2, i^2 (end-averaged) and v*i at A over each
+    segment's settled wire series, and the settled-engine error of segment 0.
+
+    A segment's drives are the n-periodic records of its seeds' in-band
+    coefficients at their Parseval scale, so its settled series are exactly
+    ``periodic_steady_state`` of them.  Each series is sampled on the grid of
+    every D-th sample (``grid_step``); the band is below that grid's Nyquist
+    frequency with room for a square's, so the mean of a square or product
+    over the grid is its full-period mean.  The chunks split the grid.
+    """
     r_a, r_b = state.resistors(config)
-    sig_a, sig_b = config.sigma(r_a), config.sigma(r_b)
+    step = grid_step(SEGMENT_SAMPLES, config.dt, config.bandwidth)
+    count = SEGMENT_SAMPLES // step
+    chunk = count // chunks_per_seg
     v2, i2, p = [], [], []
     state_key = 0 if state == BitState.HL else 1
     for k in range(n_seg):
-        ss = np.random.SeedSequence(seed, spawn_key=(90, state_key, k))
-        seed_a, seed_b = ss.spawn(2)
-        rec_a = synthesize_record(seed_a, SEGMENT_SAMPLES, config.dt, config.bandwidth, sig_a)
-        rec_b = synthesize_record(seed_b, SEGMENT_SAMPLES, config.dt, config.bandwidth, sig_b)
-        v_a, v_b, i_a, i_b = _propagate(
-            rec_a.samples, rec_b.samples, r_a, r_b, config.z0, config.dt_divisor
-        )
-        kept = SEGMENT_SAMPLES - discard
-        chunk = kept // chunks_per_seg
+        seeds = np.random.SeedSequence(seed, spawn_key=(90, state_key, k)).spawn(2)
+        drives = []
+        for drive_seed, r in zip(seeds, (r_a, r_b)):
+            sigma = config.sigma(r)
+            coeffs = _in_band_coefficients(drive_seed, SEGMENT_SAMPLES, config.dt,
+                                           config.bandwidth, sigma)
+            drives.append(_parseval_scale(coeffs, sigma) * coeffs)
+        spectra = periodic_steady_state(r_a, r_b, config.z0, config.dt_divisor,
+                                        SEGMENT_SAMPLES, *drives)
+        v_a, v_b, i_a, i_b = (_on_grid(z, count, 1.0) for z in spectra)
         for c in range(chunks_per_seg):
-            sl = slice(discard + c * chunk, discard + (c + 1) * chunk)
+            sl = slice(c * chunk, (c + 1) * chunk)
             v2.append(0.5 * (np.mean(v_a[sl] ** 2) + np.mean(v_b[sl] ** 2)))
             i2.append(0.5 * (np.mean(i_a[sl] ** 2) + np.mean(i_b[sl] ** 2)))
             p.append(np.mean(v_a[sl] * i_a[sl]))
-        # Free this segment before the next one is synthesized.
-        del rec_a, rec_b, v_a, v_b, i_a, i_b
-    return np.array(v2), np.array(i2), np.array(p)
+        if k == 0:
+            error = _settled_engine_error(config, r_a, r_b, seeds, spectra, discard, step)
+    return np.array(v2), np.array(i2), np.array(p), error
+
+
+def _settled_engine_error(
+    config: PhysicalConfig,
+    r_a: float,
+    r_b: float,
+    seeds,
+    spectra,
+    discard: int,
+    step: int,
+) -> float:
+    """Worst error of the engine's four wire series of one segment, after
+    ``discard`` samples, against their periodic steady state ``spectra``,
+    relative to each series' RMS.
+
+    The segment's two records are synthesized from ``seeds`` and propagated
+    from a cold start, then freed.  Each series is compared on the grids of
+    every ``step``-th sample shifted by s = 0 .. gcd(step, d) - 1, which
+    together meet every position of the engine's blocks of d samples: the
+    comparison needs no full-length periodic series.
+    """
+    n, d = SEGMENT_SAMPLES, int(config.dt_divisor)
+    rec_a, rec_b = (synthesize_record(drive_seed, n, config.dt, config.bandwidth, config.sigma(r))
+                    for drive_seed, r in zip(seeds, (r_a, r_b)))
+    waves = _propagate(rec_a.samples, rec_b.samples, r_a, r_b, config.z0, d)
+    del rec_a, rec_b
+    bins = np.arange(1, len(spectra[0]) + 1)
+    rms = [math.sqrt(0.5 * float(np.sum(z.real**2 + z.imag**2))) for z in spectra]
+    worst = 0.0
+    for s in range(math.gcd(step, d)):
+        shift = np.exp((2j * math.pi / n) * (bins * s % n))
+        first = -(-(discard - s) // step)  # the first grid point at or after the discard window
+        for wave, z, ref in zip(waves, spectra, rms):
+            settled = _on_grid(z * shift, n // step, 1.0)
+            error = np.abs(wave[s::step][first:] - settled[first:]) / ref
+            worst = float(np.max(error, initial=worst))
+    return worst
 
 
 def _engine_step_error(config: PhysicalConfig) -> float:
@@ -441,9 +512,10 @@ def _engine_step_error(config: PhysicalConfig) -> float:
     return worst
 
 
-def _plan_steady_state(config: PhysicalConfig, duration: float) -> tuple[int, float, float]:
-    """Segments per state for ``duration`` s of ``validate_steady_state``, and
-    the end-averaged ideal-line levels ``<v^2>`` and ``<i^2>`` of HL on one
+def _plan_steady_state(config: PhysicalConfig, duration: float) -> tuple[int, int, float, float]:
+    """Segments per state for ``duration`` s of ``validate_steady_state``,
+    the discard window of its settled-engine check in samples, and the
+    end-averaged ideal-line levels ``<v^2>`` and ``<i^2>`` of HL on one
     segment's in-band bins; ValueError for a duration or config that cannot
     be validated."""
     # The line-engine check's step response may be no longer than a segment.
@@ -476,37 +548,59 @@ def _plan_steady_state(config: PhysicalConfig, duration: float) -> tuple[int, fl
     # The standard errors sum squares of wire levels, which must stay normal floats.
     if not all(_is_normal(level * level) for level in levels):
         raise ValueError(f"ideal-line levels <v^2>, <i^2> = {levels} must both have normal squares")
-    return max(1, round(planned)), *levels
-
-
-def validate_steady_state(config: PhysicalConfig, duration: float, seed: int) -> SteadyStateReport:
-    """The line-engine check and a long-run check of the passive-security
-    identities.
-
-    The engine's step response must match the bounce diagram within
-    ENGINE_TOLERANCE over ENGINE_FLY_TIMES fly times.  Then ``duration``
-    seconds of equilibrated HL exchange (and the same of LH) run in
-    independent cold-start segments, discarding the settle window of each.
-    Compares the end-averaged HL wire mean squares, within
-    LEVEL_TOLERANCE, against the ideal-line steady state of Johnson
-    generators evaluated on the in-band bins of one segment, and the HL-LH
-    difference and the mean power flow against zero, within SIGMA_LIMIT
-    standard errors.  A duration that plans more than MAX_SEGMENTS segments
-    per state, or a config whose reference overflows or underflows, is
-    rejected before either check starts.
-    """
-    n_seg, v2_theory, i2_theory = _plan_steady_state(config, duration)
-    engine_error = _engine_step_error(config)
-    seg_duration = SEGMENT_SAMPLES * config.dt
+    # The settled levels of flat drives at the generators' RMS: a bin whose
+    # settled response is not finite, as at a resonance of a line with
+    # |G_a*G_b| = 1, spoils every segment's levels.
+    flat = [np.full(len(freqs), config.sigma(r) * math.sqrt(2.0 / len(freqs)), dtype=complex)
+            for r in (r_a, r_b)]
+    with np.errstate(all="ignore"):
+        spectra = periodic_steady_state(r_a, r_b, config.z0, config.dt_divisor, SEGMENT_SAMPLES,
+                                        *flat)
+        periodic = [0.5 * float(np.sum(z.real**2 + z.imag**2)) for z in spectra]
+    if not all(map(math.isfinite, periodic)):
+        raise ValueError(f"the periodic steady state of resistances ({r_a}, {r_b}) and z0 "
+                         f"{config.z0} gives the wire levels {periodic}; they must be finite")
     gamma_prod = reflection_coefficient(config.r_h, config.z0) * reflection_coefficient(
         config.r_l, config.z0
     )
     settle = 2.0 * config.fly_time / max(1e-12, 1.0 - abs(gamma_prod))
-    discard = min(SEGMENT_SAMPLES // 4, int(round(30.0 * settle / config.dt)))
+    window = SETTLE_TIMES * settle / config.dt
+    if not window <= SEGMENT_SAMPLES // 4:
+        raise ValueError(f"the line settles in {settle:.3g} s, so the discard window of "
+                         f"{SETTLE_TIMES:g} settle times, {window:.3g} samples, is longer than a "
+                         f"quarter segment, {SEGMENT_SAMPLES // 4} samples")
+    return max(1, round(planned)), round(window), *levels
+
+
+def validate_steady_state(config: PhysicalConfig, duration: float, seed: int) -> SteadyStateReport:
+    """The line-engine checks and a long-run check of the passive-security
+    identities.
+
+    The engine's step response must match the bounce diagram within
+    ENGINE_TOLERANCE over ENGINE_FLY_TIMES fly times.  Then ``duration``
+    seconds of equilibrated HL exchange (and the same of LH) are read from
+    independent periodic segments, each the settled response of the line to
+    its two records (``periodic_steady_state``).  Segment 0 of each state is
+    also propagated from a cold start, and after a discard window of
+    SETTLE_TIMES settle times its waves must match the settled response
+    within PERIODIC_TOLERANCE.  Compares the end-averaged HL wire mean
+    squares, within LEVEL_TOLERANCE, against the ideal-line steady state of
+    Johnson generators evaluated on the in-band bins of one segment, and the
+    HL-LH difference and the mean power flow against zero, within
+    SIGMA_LIMIT standard errors.  A duration that plans more than
+    MAX_SEGMENTS segments per state, a config whose references overflow or
+    underflow, or a line that settles in more than a quarter segment is
+    rejected before any check starts.
+    """
+    n_seg, discard, v2_theory, i2_theory = _plan_steady_state(config, duration)
+    engine_error = _engine_step_error(config)
+    seg_duration = SEGMENT_SAMPLES * config.dt
     chunks_per_seg = 4 if n_seg < 8 else 1
 
-    v2_hl, i2_hl, p_hl = _steady_segments(config, BitState.HL, n_seg, discard, chunks_per_seg, seed)
-    v2_lh, i2_lh, _ = _steady_segments(config, BitState.LH, n_seg, discard, chunks_per_seg, seed)
+    v2_hl, i2_hl, p_hl, error_hl = _steady_segments(config, BitState.HL, n_seg, discard,
+                                                    chunks_per_seg, seed)
+    v2_lh, i2_lh, _, error_lh = _steady_segments(config, BitState.LH, n_seg, discard,
+                                                 chunks_per_seg, seed)
 
     def mean_se(x: np.ndarray) -> tuple[float, float]:
         return float(np.mean(x)), float(np.std(x, ddof=1) / math.sqrt(len(x)))
@@ -518,6 +612,7 @@ def validate_steady_state(config: PhysicalConfig, duration: float, seed: int) ->
     i2l, i2l_se = mean_se(i2_lh)
     return SteadyStateReport(
         engine_error=engine_error,
+        periodic_error=float(np.max([error_hl, error_lh])),
         duration=n_seg * seg_duration,
         n_segments=n_seg,
         ms_voltage=v2,

@@ -100,6 +100,16 @@ class PhysicalConfig:
                                  f"bandwidth {self.bandwidth} give a Johnson RMS sqrt(4kTRB) "
                                  f"of {sigma}; it must be finite and positive, and its square "
                                  "a normal float")
+            # The wire current and voltage of a generator alone on the line;
+            # v = z0*i, which the first fly time's decisions rely on, holds
+            # only while neither square underflows or overflows.
+            current = sigma / (resistance + self.z0)
+            voltage = sigma * (self.z0 / (resistance + self.z0))
+            if not (_is_normal(current * current) and _is_normal(voltage * voltage)):
+                raise ValueError(f"z0 {self.z0} and {key} {resistance} give a wire current "
+                                 f"sigma/(r + z0) of {current:.3g} A and voltage "
+                                 f"sigma*z0/(r + z0) of {voltage:.3g} V; both squares must be "
+                                 "normal floats")
 
     @property
     def dt(self) -> float:

@@ -350,16 +350,48 @@ class TestMain:
         assert "temperature" in err and "bandwidth" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [["tables", "--scenario", "1"],
+                                         ["waveforms", "--scenario", "1"], ["validate"]])
+    @pytest.mark.parametrize("z0, message", [
+        # the wire current squares underflow: tables wrote p_ev 0.7667 and
+        # p_ei 0.4667 at tau = t_f on the reduced config, which v = z0*i
+        # would make equal
+        ("1e300", "wire current sigma/(r + z0) of 1.97e-300 A"),
+        # the wire voltage squares underflow: p_ev 0.4667, p_ei 0.8333
+        ("1e-300", "voltage sigma*z0/(r + z0) of 9.83e-304 V"),
+    ], ids=["huge_z0", "tiny_z0"])
+    def test_degenerate_wire_scale_exit_two_before_writing(self, tmp_path, capsys, command, z0,
+                                                           message):
+        out = tmp_path / "out"
+        config = _write(tmp_path, "n_cal = 50\nn_trials = 30\nrecord_len = 65536\n"
+                                  f"z0 = {z0}\n")
+        rc = main(command + ["--config", config, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert message in err and "both squares must be normal floats" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("physical, message", [
         # sigma_H = 4.4e148 is finite, but the ideal-line reference overflows
         ("r_h = 1e300\n", "steady state of resistances (1e+300, 2000.0) and z0 50.0 overflows"),
         ("bandwidth = 1e15\n", "is not below the Nyquist frequency"),
-        # the ideal-line <v^2> underflows to 0
-        ("z0 = 1e-300\n", "must both have normal squares"),
+        # the wire voltage of a generator alone underflows to 0
+        ("z0 = 1e-300\n", "voltage sigma*z0/(r + z0) of 9.83e-304 V; both squares must be normal"),
         # the levels are normal, but the standard errors, which sum their
         # squares, would underflow to 0
         ("temperature = 1e-150\n", "must both have normal squares"),
-    ], ids=["huge_resistor", "band_above_nyquist", "tiny_z0", "tiny_levels"])
+        # G_H*G_L = 1 - 2.6e-8: the line settles in 769 s, not in a quarter
+        # segment of 0.05 s (with the discard window cut to a quarter
+        # segment, <i^2> read rel dev +1.2667 at 6.4 s and validate exited 1)
+        ("z0 = 1e12\n", "the line settles in 769 s, so the discard window of 30 settle times, "
+                        "2.31e+11 samples, is longer than a quarter segment, 524288 samples"),
+        # both ends reflect fully (G = 1 in floating point), and bin 8 of a
+        # segment is a line resonance, where the settled response is 0/0
+        ("z0 = 1e-14\nt_f = 1e-3\ndt_divisor = 131072\n",
+         "gives the wire levels [nan, nan, nan, nan]; they must be finite"),
+    ], ids=["huge_resistor", "band_above_nyquist", "tiny_z0", "tiny_levels", "slow_settling",
+            "resonance"])
     def test_validate_unusable_reference_exit_two_before_writing(self, tmp_path, capsys,
                                                                   physical, message):
         out = tmp_path / "out"
@@ -405,6 +437,28 @@ class TestMain:
         assert (tmp_path / "validation.txt").read_text() == text
         assert capsys.readouterr().out == text
         assert rc == (0 if report.all_ok else 1)
+
+    def test_validate_fails_a_perturbed_settled_wave(self, tmp_path, monkeypatch, capsys):
+        # One sample of v_a after the discard window, at position 1 of the
+        # engine's 100-sample blocks and of the 128-sample search grid: only
+        # the grid shifted by one sample meets it.
+        sample = 128 * 1000 + 1
+        propagate = montecarlo._propagate
+
+        def perturbed(*args):
+            v_a, v_b, i_a, i_b = propagate(*args)
+            v_a[sample] += 1e-9
+            return v_a, v_b, i_a, i_b
+
+        monkeypatch.setattr(montecarlo, "_propagate", perturbed)
+        rc = main(["validate", "--duration", "0.2097152", "--out", str(tmp_path)])
+        lines = capsys.readouterr().out.splitlines()
+        assert rc == 1
+        assert lines[1].startswith("  step response vs bounce-diagram oracle:")
+        assert lines[1].endswith("[pass]")
+        assert lines[2].startswith("  settled waves vs periodic steady state: worst rel err 1.")
+        assert lines[2].endswith("e-09 (limit 1e-12) [FAIL]")
+        assert lines[-1] == "overall: FAIL"
 
     def test_missing_config_file_exit_two(self, tmp_path):
         rc = main(["tables", "--config", str(tmp_path / "nope.cfg")])

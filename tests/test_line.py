@@ -21,6 +21,7 @@ from kljnsim.line import (
     _propagate,
     ideal_line_steady_state,
     lattice_step_response,
+    periodic_steady_state,
     reflection_coefficient,
     run_transient,
 )
@@ -427,6 +428,64 @@ class TestIdealLineSteadyState:
             ideal_line_steady_state(1e300, R_L, Z0, TF, self.FREQS, 1.0, 1.0)
         with pytest.raises(ValueError, match="overflows"):
             ideal_line_steady_state(R_H, R_L, Z0, TF, self.FREQS, 1e306, 1e306)
+
+
+class TestPeriodicSteadyState:
+    N = 2**21  # samples of a steady-state segment
+
+    # the defaults' top bin turns theta = 2*pi*k*d/n to 0.31; the long line's
+    # passes pi/2
+    @pytest.mark.parametrize("fly_time, d, top_theta", [(TF, D, 0.3), (1e-4, 1000, math.pi / 2)],
+                             ids=["defaults", "long"])
+    def test_matches_the_ideal_line_bin_by_bin(self, fly_time, d, top_theta):
+        # One generator and one bin at a time: by Parseval, a bin of
+        # amplitude Z has the mean square |Z|^2/2, so a drive of amplitude
+        # sqrt(2) has a unit mean square, as the two-port oracle's generator
+        # on that bin alone.  The two come from independent derivations, the
+        # bounce recursion and the two-port admittance.
+        dt = fly_time / d
+        n_bins = int(CFG.bandwidth * self.N * dt)
+        assert 2.0 * math.pi * n_bins * d / self.N > top_theta
+        worst = 0.0
+        for gen in (0, 1):
+            drives = np.zeros((2, n_bins), dtype=complex)
+            drives[gen] = math.sqrt(2.0)
+            spectra = periodic_steady_state(R_H, R_L, Z0, d, self.N, *drives)
+            levels = np.array([0.5 * np.abs(z) ** 2 for z in spectra])
+            for k in range(1, n_bins + 1):
+                v2, i2 = ideal_line_steady_state(R_H, R_L, Z0, fly_time, [k / (self.N * dt)],
+                                                 1.0 - gen, float(gen))
+                oracle = np.concatenate([v2, i2])
+                worst = max(worst, float(np.max(np.abs(levels[:, k - 1] / oracle - 1.0))))
+        assert worst < 1e-12
+
+    def test_cold_engine_settles_onto_it(self):
+        # a periodic drive at both ends, repeated until the start transient
+        # has died out (30 times the e-folding time 2*TF/(1 - G_H*G_L))
+        n, n_bins, repeats = 2**15, 150, 6
+        rng = np.random.default_rng(5)
+        drives = rng.standard_normal((2, n_bins)) + 1j * rng.standard_normal((2, n_bins))
+
+        def samples(spectrum):
+            return np.fft.irfft(np.concatenate(([0j], spectrum)), n) * (n / 2)
+
+        u_a, u_b = (np.tile(samples(z), repeats) for z in drives)
+        waves = _propagate(u_a, u_b, R_H, R_L, Z0, D)
+        settled = periodic_steady_state(R_H, R_L, Z0, D, n, *drives)
+        for wave, z in zip(waves, settled):
+            series = samples(z)
+            rms = math.sqrt(np.mean(series**2))
+            assert np.max(np.abs(wave[-n:] - series)) < 1e-12 * rms
+            # and not before: the first period still carries the transient
+            assert np.max(np.abs(wave[:n] - series)) > 1e-3 * rms
+
+    def test_mirror_symmetry(self):
+        rng = np.random.default_rng(6)
+        u = rng.standard_normal((2, 100)) + 1j * rng.standard_normal((2, 100))
+        v_a, v_b, i_a, i_b = periodic_steady_state(R_H, R_L, Z0, D, self.N, u[0], u[1])
+        w_b, w_a, j_b, j_a = periodic_steady_state(R_L, R_H, Z0, D, self.N, u[1], u[0])
+        for fwd, rev in ((v_a, w_a), (v_b, w_b), (i_a, j_a), (i_b, j_b)):
+            np.testing.assert_array_equal(rev, fwd)
 
 
 class TestTrialWaveformsTsv:

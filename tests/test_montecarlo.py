@@ -282,9 +282,23 @@ class TestValidateSteadyState:
         with pytest.raises(ValueError, match=f"duration must be finite, got {duration}"):
             validate_steady_state(CFG, duration, 1)
 
+    def test_propagates_one_segment_per_state(self, monkeypatch):
+        # the other segments' levels are read from their periodic steady state
+        lengths = []
+        propagate = montecarlo._propagate
+
+        def counted(u_a, *args):
+            lengths.append(len(u_a))
+            return propagate(u_a, *args)
+
+        monkeypatch.setattr(montecarlo, "_propagate", counted)
+        report = validate_steady_state(CFG, 0.84, 1)
+        assert report.n_segments == 4
+        assert lengths == [montecarlo.SEGMENT_SAMPLES] * 2
+
     def test_holds_one_segment_at_a_time(self):
-        # a segment's two records and four waves are freed before the next
-        # segment's records are synthesized
+        # the propagated segment's two records are freed before its four
+        # waves are compared, and no other segment holds a full-length array
         seg_bytes = montecarlo.SEGMENT_SAMPLES * 8
         tracemalloc.start()
         try:
