@@ -7,32 +7,36 @@ independent complex Gaussian coefficients on the in-band bins, zero
 everywhere else, inverse real FFT.  This makes the out-of-band spectral
 power zero by construction at any simulation timestep.
 
-Each record is normalized so its *sample* RMS equals the requested target
-exactly.  With the default parameters a record holds only ~524 in-band
-frequency bins, so an ensemble-normalized record would show a ~2% RMS
-spread between seeds; the exchange protocol (and its tolerance checks)
-assume both parties know the generator amplitudes exactly.  By Parseval
-that normalization needs only the coefficients, so any sample of a record
-is a direct sum over the in-band bins: a short window of a record (a random
-start plays a few hundred samples) is computed by ``synthesize_window``
-without the full record.
+Every record is scaled by one Parseval rule.  With the DC and Nyquist bins
+zero, the mean square of a record is half the summed power of its in-band
+coefficients X_k, so the factor sigma*sqrt(2/sum_k |X_k|^2) gives it a
+sample RMS of sigma, to rounding, from the coefficients alone.  With the
+default parameters a record holds only ~524 in-band frequency bins, so an
+ensemble-normalized record would show a ~2% RMS spread between seeds; the
+exchange protocol (and its tolerance checks) assume both parties know the
+generator amplitudes exactly.  Since the scale needs no samples, a full
+record, its grid of every D-th sample and a short window (a random start
+plays a few hundred samples, which ``synthesize_window`` sums over the
+in-band bins without the full record) all take the same one.
 
 The start-point search implements the defense: the earliest sample of a
 record matching a target value and target slope within relative
 tolerances, or the sign-flipped target pair (negating a zero-mean Gaussian
 record yields an equally valid sample path).  A band far below the Nyquist
-frequency is exactly sampled on a grid of every D-th sample, which three
-inverse FFTs of length n/D give with the first two derivatives; cubic
-Hermite bounds on each grid interval keep the intervals that can hold a
-match, and those are refined in order, one short direct-sum window at a
-time, up to the first match.  So the search forms the full record only
-when no grid step D > 1 holds the band.
+frequency is exactly sampled on a grid of every D-th sample, which
+inverse FFTs of length n/D give with its first two derivatives.  On each
+grid interval the Bernstein control points of the cubic Hermite
+interpolants enclose the value and the slope; the intervals whose
+enclosures can hold a match are refined in order, one short direct-sum
+window at a time, up to the first match.  So the search forms the full
+record only when no grid step D > 1 holds the band.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,8 +56,8 @@ __all__ = [
 
 BOLTZMANN = 1.380649e-23  # J/K, exact SI value
 
-# Largest grid step of the start-point search.  Its Hermite bounds widen as
-# step**4, so a larger step brackets too many intervals to refine.
+# Largest grid step of the start-point search.  Its Hermite error bounds
+# widen as step**4, so a larger step brackets too many intervals to refine.
 MAX_GRID_STEP = 128
 # Relative widening of every bound of the search for rounding: the grid,
 # the direct sums and the bounds themselves are accurate to about 1e-12 of
@@ -93,8 +97,8 @@ class NoiseRecord:
     """A sampled band-limited Gaussian generator voltage of
     n = step * len(samples) samples.
 
-    samples     samples 0, step, 2*step, ... of the record (V); with step 1,
-                every sample, whose sample RMS equals target_rms
+    samples     samples 0, step, 2*step, ... of the record (V), scaled by
+                the Parseval rule to a record of sample RMS target_rms
     dt          sampling interval (s)
     target_rms  generator RMS the record is scaled to (V)
     coeffs      complex coefficients of in-band bins 1 .. n_bins that every
@@ -196,14 +200,6 @@ def _parseval_scale(coeffs: np.ndarray, sigma: float) -> float:
     return sigma * math.sqrt(2.0 / power)
 
 
-def _irfft_samples(coeffs: np.ndarray, n: int, sigma: float) -> np.ndarray:
-    """The n samples of the in-band coefficients, scaled to sample RMS sigma."""
-    # irfft pads the spectrum (DC, then the in-band bins) with zero bins to n.
-    samples = np.fft.irfft(np.concatenate(([0j], coeffs)), n)
-    samples *= sigma / math.sqrt(float(np.mean(samples * samples)))
-    return samples
-
-
 def synthesize_record(
     seed: int | np.random.SeedSequence,
     n: int,
@@ -216,22 +212,20 @@ def synthesize_record(
 
     Frequency-domain construction: bins k = 1 .. floor(B*n*dt) receive
     independent complex unit Gaussians, all other bins (including DC and
-    everything above B) stay exactly zero; an inverse real FFT produces the
-    samples, which are then scaled so the sample RMS equals ``sigma``.
-
-    With ``step`` > 1 only every step-th sample is made, by an inverse FFT
-    of length n/step, scaled by the Parseval RMS of the coefficients; the
-    step must divide n and keep n_bins < n/(2*step), as ``grid_step``'s
-    does.  These samples equal the full record's to about 1e-14 of sigma.
+    everything above B) stay exactly zero.  Every step-th sample is made by
+    an inverse real FFT of length n/step and scaled by the Parseval rule,
+    sigma*sqrt(2/sum_k |X_k|^2), so a full record (step 1) has sample RMS
+    sigma to rounding.  The step must be an integer >= 1 that divides n and
+    keeps n_bins < n/(2*step), as ``grid_step``'s does; the samples of a
+    grid equal the full record's to about 1e-14 of sigma.
 
     Deterministic given the seed.  Requires n >= 2, a finite sigma > 0, at
     least ten in-band bins (n*dt*B >= 10) and B below the Nyquist frequency
     1/(2*dt).
     """
     coeffs = _in_band_coefficients(seed, n, dt, bandwidth, sigma)
-    if step == 1:
-        return NoiseRecord(_irfft_samples(coeffs, n, sigma), dt, sigma, coeffs)
-    if not (step > 1 and n % step == 0 and 2 * step * len(coeffs) < n):
+    if not (isinstance(step, numbers.Integral) and step >= 1 and n % step == 0
+            and 2 * step * len(coeffs) < n):
         raise ValueError(f"step {step} does not divide {n} samples into a grid that holds "
                          f"{len(coeffs)} in-band bins below its Nyquist frequency")
     return NoiseRecord(_on_grid(coeffs, n // step, _parseval_scale(coeffs, sigma)), dt, sigma,
@@ -293,30 +287,17 @@ def synthesize_window(
     if not (0 <= start and 1 <= count and start + count <= n):
         raise ValueError(f"window of {count} samples from {start} is not inside {n} samples")
     if count * len(coeffs) > n:
-        return _irfft_samples(coeffs, n, sigma)[start : start + count].copy()
+        return _on_grid(coeffs, n, _parseval_scale(coeffs, sigma))[start : start + count].copy()
     return _direct_sum(coeffs, n, sigma, start, count)
 
 
-def _cubic_range(y0, y1, d0, d1, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """Elementwise least and greatest value on [0, h] of the cubic with end
-    values y0, y1 and end derivatives d0, d1 (its cubic Hermite
-    interpolant): the end values and the values at the interior critical
-    points."""
-    # p(s) = y0 + c1*s + c2*s^2 + c3*s^3 on s in [0, 1]
-    c1 = h * d0
-    c2 = 3.0 * (y1 - y0) - h * (2.0 * d0 + d1)
-    c3 = 2.0 * (y0 - y1) + h * (d0 + d1)
-    lo, hi = np.minimum(y0, y1), np.maximum(y0, y1)
-    # The roots of p'(s) = c1 + 2*c2*s + 3*c3*s^2 in the cancellation-free
-    # form q/(3*c3) and c1/q; a root outside (0, 1), or none, stands at s = 0.
-    disc = c2 * c2 - 3.0 * c1 * c3
-    q = -(c2 + np.copysign(np.sqrt(np.maximum(disc, 0.0)), c2))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for root in (q / (3.0 * c3), c1 / q):
-            s = np.where((disc >= 0.0) & (root > 0.0) & (root < 1.0), root, 0.0)
-            p = y0 + s * (c1 + s * (c2 + s * c3))
-            lo, hi = np.minimum(lo, p), np.maximum(hi, p)
-    return lo, hi
+def _hull(y0, y1, d0, d1, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Elementwise least and greatest Bernstein control point, which enclose
+    the cubic on [0, h] with end values y0, y1 and end derivatives d0, d1
+    (its cubic Hermite interpolant): y0, y0 + h*d0/3, y1 - h*d1/3 and y1."""
+    inner0, inner1 = y0 + (h / 3.0) * d0, y1 - (h / 3.0) * d1
+    return (np.minimum(np.minimum(y0, y1), np.minimum(inner0, inner1)),
+            np.maximum(np.maximum(y0, y1), np.maximum(inner0, inner1)))
 
 
 def _possible_intervals(
@@ -339,10 +320,8 @@ def _possible_intervals(
     bound = [float(np.sum(amp * w**j)) for j in range(6)]
     x = record.samples
     slope = _on_grid(1j * w * coeffs, grid, scale)
-    curve = _on_grid(-w * w * coeffs, grid, scale)
     hermite = step**4 / 384.0
     v_err = hermite * bound[4] + _ROUNDING_SLACK * (bound[0] + abs(target_value) + window)
-    s_err = hermite * bound[5] + bound[3] / 6.0
 
     def meets(low, high, center, half, err):
         """Whether each range [low, high], widened by err, meets the window
@@ -352,28 +331,23 @@ def _possible_intervals(
     # Interval m ends at grid point m + 1, which wraps to 0 after the last
     # grid point.
     m = np.arange(hi // step + 1)
-    x0, x1, d0, d1 = x[m], x[(m + 1) % grid], slope[m], slope[(m + 1) % grid]
-    # The Bernstein control points of the value cubic enclose it, and rule
-    # out most intervals before the exact ranges are found.
-    inner0, inner1 = x0 + (step / 3.0) * d0, x1 - (step / 3.0) * d1
-    hull_lo = np.minimum(np.minimum(x0, x1), np.minimum(inner0, inner1))
-    hull_hi = np.maximum(np.maximum(x0, x1), np.maximum(inner0, inner1))
-    near = np.zeros(len(m), dtype=bool)
-    for sign in (1.0, -1.0):
-        near |= meets(hull_lo, hull_hi, sign * target_value, window, v_err)
-    m, x0, x1, d0, d1 = m[near], x0[near], x1[near], d0[near], d1[near]
-    v_lo, v_hi = _cubic_range(x0, x1, d0, d1, step)
-    s_lo, s_hi = _cubic_range(d0, d1, curve[m], curve[(m + 1) % grid], step)
+    d0, d1 = slope[m], slope[(m + 1) % grid]
+    v_lo, v_hi = _hull(x[m], x[(m + 1) % grid], d0, d1, step)
+    value_ok = [meets(v_lo, v_hi, sign * target_value, window, v_err) for sign in (1.0, -1.0)]
+    near = value_ok[0] | value_ok[1]
+    if target_slope is None:
+        return step * m[near]
+    m = m[near]
+    curve = _on_grid(-w * w * coeffs, grid, scale)
+    s_lo, s_hi = _hull(d0[near], d1[near], curve[m], curve[(m + 1) % grid], step)
+    s_err = hermite * bound[5] + bound[3] / 6.0
     possible = np.zeros(len(m), dtype=bool)
-    for sign in (1.0, -1.0):
-        both = meets(v_lo, v_hi, sign * target_value, window, v_err)
-        if target_slope is not None:
-            # |c/a - 1| <= tol is |c - a| <= tol*|a|, in per-sample units.
-            center = sign * target_slope * record.dt
-            half = slope_tol_rel * abs(center)
-            err = s_err + _ROUNDING_SLACK * (bound[1] + abs(center) + half)
-            both &= meets(s_lo, s_hi, center, half, err)
-        possible |= both
+    for sign, ok in zip((1.0, -1.0), value_ok):
+        # |c/a - 1| <= tol is |c - a| <= tol*|a|, in per-sample units.
+        center = sign * target_slope * record.dt
+        half = slope_tol_rel * abs(center)
+        err = s_err + _ROUNDING_SLACK * (bound[1] + abs(center) + half)
+        possible |= ok[near] & meets(s_lo, s_hi, center, half, err)
     return step * m[possible]
 
 
@@ -400,14 +374,18 @@ def find_start_point(
 
     The samples s are the direct sums of ``synthesize_window``, formed only
     where a match is possible.  The record's grid of every D-th sample, with
-    the first two derivatives there, bounds each interval [D*m, D*(m+1)]:
-    the cubic Hermite interpolants of the value and of the slope, widened by
-    their error bounds D^4/384 * max|x''''| and D^4/384 * max|x'''''|, and
-    the slope also by the central difference's error max|x'''|/6 (all per
-    sample; max|x^(j)| <= sum_k |a_k| w_k^j for bin amplitudes a_k and
-    frequencies w_k).  The intervals whose bounds meet a target window of
-    either sign are refined in order, D + 2 samples at a time, and the first
-    that holds a match holds the earliest.
+    the first two derivatives there, bounds each interval [D*m, D*(m+1)].
+    The cubic Hermite interpolant of the value, with end values y0, y1 and
+    end slopes d0, d1, lies between its least and greatest Bernstein control
+    point, y0, y0 + D*d0/3, y1 - D*d1/3 and y1; so does that of the slope,
+    from the slopes and curvatures.  Each enclosure is widened by the
+    interpolant's error bound, D^4/384 * max|x''''| for the value and
+    D^4/384 * max|x'''''| for the slope, and the slope's also by the central
+    difference's error max|x'''|/6 (all per sample; max|x^(j)| <= sum_k
+    |a_k| w_k^j for bin amplitudes a_k and frequencies w_k).  The intervals
+    whose enclosures meet a target window of either sign are refined in
+    order, D + 2 samples at a time, and the first that holds a match holds
+    the earliest.
 
     ``max_index`` caps the search so enough samples remain after the start
     for a full transient run.  Returns None when nothing qualifies.

@@ -1,5 +1,6 @@
 """Config parsing and command-line behavior."""
 
+import math
 import os
 import subprocess
 import sys
@@ -76,6 +77,9 @@ GRID_KEYS = [key for key, _, _ in _leaves(RunConfig()) if key not in ("jobs", "s
                                                                        "out_dir")]
 GRID_VALUES = ["0", "-1", "1e-300", "1e300", "nan", "inf", "1.5", "3", str(10**12), "9e15", ""]
 GRID_BASE = "n_cal = 50\nn_trials = 2\nrecord_len = 65536\nsteady_duration = 0.2097152\n"
+# The search keys, at the grid's values that every planner accepts for them.
+SEARCH_KEYS = ["value_tol", "slope_tol", "s3_value_fraction"]
+SEARCH_VALUES = ["1e-300", "1e300", "1.5", "3", str(10**12), "9e15"]
 
 
 class _Planned(Exception):
@@ -594,6 +598,26 @@ class TestMain:
         rc = main(["tables", "--config", str(cfg_file), "--out", str(tmp_path / "out")])
         assert rc == 2
         assert "no start point in 100 records" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", SEARCH_VALUES)
+    @pytest.mark.parametrize("key", SEARCH_KEYS)
+    def test_planned_search_runs_to_finite_tables_or_names_the_search(self, tmp_path, capsys,
+                                                                       key, value):
+        # The plan cannot see whether a search tolerance is reachable: the
+        # run either writes four tables of finite numbers or exits 2 on the
+        # search's record cap.
+        out = tmp_path / "out"
+        rc = main(["tables", "--config", _write(tmp_path, GRID_BASE + f"{key} = {value}\n"),
+                   "--out", str(out)])
+        err = capsys.readouterr().err
+        if rc == 2:
+            assert "no start point in 100 records" in err
+            return
+        assert rc == 0, err
+        for k in (1, 2, 3, 4):
+            rows = (out / f"scenario_{k}.csv").read_text().splitlines()[1:]
+            assert len(rows) == 4
+            assert all(math.isfinite(float(x)) for row in rows for x in row.split(",")), rows
 
     def test_module_entry_point_runs_without_warnings(self):
         # the package must not import its command-line module, or running

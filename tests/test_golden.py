@@ -17,7 +17,12 @@ line, ready to copy.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import kljnsim
 from kljnsim.cli import main
 
 DIGESTS = {
@@ -36,7 +41,7 @@ DIGESTS = {
         "a18b80706ea0583f4b12fd42f1306f99029cdc23e81f38a5b15e6b1d190a0e4d",
     "waveforms/waveforms_scenario_4.tsv":
         "9a6eba76e16a067572fab0f215f7855afe41b6a74e92e58f8a6a48e975cceaa9",
-    "validate/validation.txt": "ecee5a4f372eb2031f66312e2c082e223c5ae5a1c29743d8332cbe0320e9ccd2",
+    "validate/validation.txt": "282702b2b1f2b5d98394e4f233cc7136c7068dc15a32e7906d5b6b9833402441",
     # The default configuration's tables, checked by the acceptance module
     # on the summaries its experiments fixture computes.
     "defaults/scenario_1.csv": "02c5f6329d19a62ae8a8ea5b05ac8db6423127f03f77e3d871e6f0c804125c72",
@@ -84,6 +89,23 @@ def test_reduced_scenario_4_on_two_workers(tmp_path):
     assert main(["tables", "--config", _config(tmp_path, REDUCED), "--scenario", "4",
                  "--jobs", "2", "--out", str(out)]) == 0
     _assert_pinned("reduced", out, ["scenario_4.csv"])
+
+
+def test_reduced_scenario_4_on_one_and_two_blas_threads(tmp_path):
+    # OpenBLAS threads the direct sums; tests/conftest.py sets one thread
+    # for the session, and neither one nor two changes a byte
+    src = str(Path(kljnsim.__file__).resolve().parent.parent)
+    config = _config(tmp_path, REDUCED)
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads_{threads}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "kljnsim.cli", "tables", "--config", config, "--scenario", "4",
+             "--out", str(out)],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads},
+        )
+        assert proc.returncode == 0, proc.stderr
+        _assert_pinned("reduced", out, ["scenario_4.csv"])
 
 
 def test_loosening_tables(tmp_path):

@@ -20,6 +20,7 @@ from kljnsim.noise import (
     MAX_GRID_STEP,
     NoiseRecord,
     StartPoint,
+    _possible_intervals,
     find_start_point,
     grid_step,
     johnson_rms,
@@ -250,10 +251,11 @@ class TestSynthesizeRecord:
             assert np.array_equal(grid.coeffs, full.coeffs)
             assert np.max(np.abs(grid.samples - full.samples[::step])) <= 1e-12 * 2.5
 
-    @pytest.mark.parametrize("step", [0, 3, 2**12])
+    @pytest.mark.parametrize("step", [0, 3, 2**12, 2.0, 1.0])
     def test_rejects_a_grid_that_misses_the_band(self, step):
         # 2^16 samples hold 32 in-band bins: a step of 3 does not divide the
-        # record, and one of 2^12 leaves 16 grid points for them
+        # record, one of 2^12 leaves 16 grid points for them, and a step
+        # must be an integer, even where its value would do
         with pytest.raises(ValueError, match=f"step {step} does not divide"):
             synthesize_record(0, 2**16, DT, B, 1.0, step)
 
@@ -541,6 +543,56 @@ def test_grid_search_matches_reference_at_other_steps(n):
             for args in _target_shapes(high, level).values():
                 _compare_searches(full, grid, args, n - 1 - 400, mismatches)
     assert not mismatches
+
+
+def _accepted(full, dist, target_value, value_tol_rel, target_slope, slope_tol_rel):
+    """Every sample i = 1 .. len(dist) of a full record that the reference
+    search's rule accepts for either sign, in order, given
+    dist[i - 1] = | |s[i]| - |target_value| |."""
+    s = full.samples
+    window = value_tol_rel * full.target_rms
+    candidates = np.flatnonzero(dist <= window) + 1
+    if candidates.size == 0:
+        return candidates
+    values, slopes = s[candidates], estimate_slope(full, candidates)
+    either = np.zeros(candidates.size, dtype=bool)
+    for sign in (1.0, -1.0):
+        hit = np.abs(values - sign * target_value) <= window
+        if target_slope is not None:
+            hit &= np.abs(slopes / (sign * target_slope) - 1.0) <= slope_tol_rel
+        either |= hit
+    return candidates[either]
+
+
+@pytest.mark.parametrize("n, steps", [(N, (STEP, 64)), (2**16, (1,))])
+def test_bracket_keeps_every_accepted_sample(n, steps):
+    # every sample the reference's rule accepts, not only the first, lies in
+    # a grid interval that the bracket keeps: the seeds, parties, target
+    # shapes and loosening levels of test_grid_search_matches_reference_search,
+    # at grid steps 128, 64 and 1; step 1 runs on 2^16 samples, since its
+    # bracket of 2^20 samples costs about 0.2 s
+    max_index = n - 1 - 400
+    missed, accepted = [], 0
+    for seed in range(50):
+        for high in (False, True):
+            sigma = johnson_rms(T, R_H if high else R_L, B)
+            full = synthesize_record(np.random.SeedSequence(seed), n, DT, B, sigma)
+            grids = [synthesize_record(np.random.SeedSequence(seed), n, DT, B, sigma, step)
+                     for step in steps]
+            shapes = [args for level in (0, 3, 9) for args in _target_shapes(high, level).values()]
+            magnitude = np.abs(full.samples[1 : max_index + 1])
+            dists = {value: np.abs(magnitude - abs(value)) for value in {a[0] for a in shapes}}
+            for value, value_tol, slope, slope_tol in shapes:
+                hits = _accepted(full, dists[value], value, value_tol, slope, slope_tol)
+                accepted += hits.size
+                for grid in grids:
+                    kept = np.zeros(len(grid.samples), dtype=bool)
+                    kept[_possible_intervals(grid, max_index, value, value_tol * sigma, slope,
+                                             slope_tol) // grid.step] = True
+                    missed += [(seed, high, value_tol, slope_tol, grid.step, i)
+                               for i in hits[~kept[hits // grid.step]]]
+    assert not missed
+    assert accepted > 10000
 
 
 def _two_pass_search(record, target_value, value_tol_rel, target_slope, slope_tol_rel, max_index):
