@@ -199,13 +199,21 @@ def _run_chunk(run, tasks) -> list:
     return [run(phase, trial) for phase, trial in tasks]
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the OS
+    reports one, else the CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _collect(run, phases, jobs: int) -> tuple[np.ndarray, ...]:
     """Run ``run(phase, trial)`` for trials 0 .. n-1 of every (phase, n) in
     ``phases``, in process or in chunks on at most ``jobs`` workers, no more
-    than there are chunks or CPUs.  Returns each output of ``run`` stacked
-    over the trials, in task order."""
+    than there are chunks or usable CPUs.  Returns each output of ``run``
+    stacked over the trials, in task order."""
     tasks = [(phase, trial) for phase, n in phases for trial in range(n)]
-    jobs = min(jobs, os.cpu_count() or 1)
+    jobs = min(jobs, _usable_cpus())
     if jobs <= 1 or len(tasks) < 2 * jobs:
         outputs = _run_chunk(run, tasks)
     else:

@@ -24,12 +24,15 @@ record matching a target value and target slope within relative
 tolerances, or the sign-flipped target pair (negating a zero-mean Gaussian
 record yields an equally valid sample path).  A band far below the Nyquist
 frequency is exactly sampled on a grid of every D-th sample, which
-inverse FFTs of length n/D give with its first two derivatives.  On each
-grid interval the Bernstein control points of the cubic Hermite
-interpolants enclose the value and the slope; the intervals whose
-enclosures can hold a match are refined in order, one short direct-sum
-window at a time, up to the first match.  So the search forms the full
-record only when no grid step D > 1 holds the band.
+inverse FFTs of length n/D give with its first two derivatives.  The
+cubic Hermite interpolants of the value and the slope on each grid interval
+bracket the search in three stages: the Bernstein control points enclose
+the value, then the slope, over the whole interval, and a joint stage
+evaluates both interpolants at each of the interval's samples, where
+pointwise error bounds enclose the sample and its central-difference
+slope.  The intervals that can hold a match are refined in order, one
+short direct-sum window at a time, up to the first match.  So the search
+forms the full record only when no grid step D > 1 holds the band.
 """
 
 from __future__ import annotations
@@ -63,6 +66,14 @@ MAX_GRID_STEP = 128
 # the direct sums and the bounds themselves are accurate to about 1e-12 of
 # the record's amplitude bound.
 _ROUNDING_SLACK = 1e-9
+# Survivors of the hulls that the joint stage of the start-point search
+# evaluates at a time.  The search almost always ends in the first interval
+# the joint stage keeps, so the stage stops at the first block that keeps
+# one and passes every later survivor on unfiltered.  Shorter blocks pass
+# on more survivors after an interval kept in vain (blocks of 16 took 5.0
+# direct sums per default defense trial, 64 take 4.3); longer ones evaluate
+# more intervals past the match, at 64 x D floats per array here.
+_JOINT_BLOCK = 64
 
 
 def johnson_rms(temperature: float, resistance: float, bandwidth: float) -> float:
@@ -300,6 +311,53 @@ def _hull(y0, y1, d0, d1, h: float) -> tuple[np.ndarray, np.ndarray]:
             np.maximum(np.maximum(y0, y1), np.maximum(inner0, inner1)))
 
 
+@functools.lru_cache(maxsize=4)
+def _hermite_basis(step: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (4, D) cubic Hermite basis at samples t = 0 .. D-1 of an
+    interval of D samples, rows h00, h01, D*h10 and D*h11 at t/D, which
+    takes end values y0, y1 and end derivatives d0, d1 per sample, as rows
+    (y0, y1, d0, d1), to the interpolant there; and the weights
+    e(t) = (t*(D - t))**2 / 24 of its error bound (both read-only)."""
+    s = np.arange(step) / step
+    basis = np.array([(1.0 + 2.0 * s) * (1.0 - s)**2, s * s * (3.0 - 2.0 * s),
+                      step * s * (1.0 - s)**2, step * s * s * (s - 1.0)])
+    weights = (step * step * s * (1.0 - s))**2 / 24.0
+    basis.flags.writeable = weights.flags.writeable = False
+    return basis, weights
+
+
+def _grids_and_bounds(record: NoiseRecord, orders: int) -> tuple[np.ndarray, list[float]]:
+    """The record's derivatives of order j < ``orders`` per sample at its
+    grid points, one row each, the samples first, with the first point
+    appended (the end of the last interval); and the bounds
+    sum_k a_k w_k^j, j < 6, on the j-th derivative per sample, for the
+    scaled bin amplitudes a_k and bin frequencies per sample w_k."""
+    coeffs, grid = record.coeffs, len(record.samples)
+    scale = _parseval_scale(coeffs, record.target_rms)
+    w = (2.0 * math.pi / (record.step * grid)) * np.arange(1, len(coeffs) + 1)
+    bound = (scale * np.abs(coeffs) * w ** np.arange(6)[:, None]).sum(axis=1).tolist()
+    grids = np.empty((orders, grid + 1))
+    grids[0, :grid] = record.samples
+    for row, f in zip(grids[1:], (1j * w, -w * w)):
+        row[:grid] = _on_grid(f * coeffs, grid, scale)
+    grids[:, grid] = grids[:, 0]
+    return grids, bound
+
+
+def _pointwise(grids: np.ndarray, bound: list[float], m: np.ndarray, step: int):
+    """At the samples D*m + t, t = 0 .. D-1, of each interval m, one row
+    per interval: the cubic Hermite interpolants of the value and of the
+    slope per sample, from the three grids of ``_grids_and_bounds``; and
+    the bounds per t within which they enclose the sample and its central
+    difference: e(t)*max|x''''|, and e(t)*max|x'''''| + max|x'''|/6."""
+    basis, e = _hermite_basis(step)
+    # Value, slope and curvature at both ends of each interval, (P, 3, 2).
+    ends = grids[:, m[:, None] + (0, 1)].transpose(1, 0, 2)
+    v = np.einsum("pk,kt->pt", ends[:, :2].reshape(len(m), 4), basis)
+    s = np.einsum("pk,kt->pt", ends[:, 1:].reshape(len(m), 4), basis)
+    return v, s, e * bound[4], e * bound[5] + bound[3] / 6.0
+
+
 def _possible_intervals(
     record: NoiseRecord,
     hi: int,
@@ -309,46 +367,61 @@ def _possible_intervals(
     slope_tol_rel: float,
 ) -> np.ndarray:
     """The first sample D*m of each grid interval [D*m, D*(m+1)] that holds
-    a sample in [1, hi] and can hold a match, in order."""
-    coeffs, step, grid = record.coeffs, record.step, len(record.samples)
-    n = step * grid
-    scale = _parseval_scale(coeffs, record.target_rms)
-    # Bin frequencies per sample, and bounds on the j-th derivative per
-    # sample: sum_k a_k w_k^j for the scaled bin amplitudes a_k.
-    w = (2.0 * math.pi / n) * np.arange(1, len(coeffs) + 1)
-    amp = scale * np.abs(coeffs)
-    bound = [float(np.sum(amp * w**j)) for j in range(6)]
-    x = record.samples
-    slope = _on_grid(1j * w * coeffs, grid, scale)
+    a sample in [1, hi] and can hold a match, in order.
+
+    Three stages, each on the survivors of the last.  The value hull keeps
+    the intervals whose value enclosure meets the value window of either
+    sign; a value-only search ends there.  The slope hull keeps those whose
+    slope enclosure also meets the slope window of a sign whose value
+    window was met.  The joint stage evaluates both interpolants at each
+    sample of a survivor, and keeps it only if one sample can meet the
+    value window and the slope window of the same sign, each widened by its
+    pointwise bound (``_pointwise``).  It takes _JOINT_BLOCK survivors at a
+    time and stops at the first block that keeps one: the kept intervals of
+    that block come first, then every later survivor, unfiltered.
+    """
+    step = record.step
+    grids, bound = _grids_and_bounds(record, 2 if target_slope is None else 3)
+    x, slope = grids[:2]
     hermite = step**4 / 384.0
-    v_err = hermite * bound[4] + _ROUNDING_SLACK * (bound[0] + abs(target_value) + window)
+    v_slack = _ROUNDING_SLACK * (bound[0] + abs(target_value) + window)
 
-    def meets(low, high, center, half, err):
-        """Whether each range [low, high], widened by err, meets the window
-        center +- half."""
-        return (low - err <= center + half) & (high + err >= center - half)
+    def meets(low, high, center, half):
+        """Whether each range [low, high] meets the window center +- half;
+        widening the window by a range's error bound widens the range."""
+        return (low <= center + half) & (high >= center - half)
 
-    # Interval m ends at grid point m + 1, which wraps to 0 after the last
-    # grid point.
-    m = np.arange(hi // step + 1)
-    d0, d1 = slope[m], slope[(m + 1) % grid]
-    v_lo, v_hi = _hull(x[m], x[(m + 1) % grid], d0, d1, step)
-    value_ok = [meets(v_lo, v_hi, sign * target_value, window, v_err) for sign in (1.0, -1.0)]
+    # Intervals 0 .. k-1 hold the samples 1 .. hi; interval m ends at grid
+    # point m + 1, the appended first point for the last interval.
+    k = hi // step + 1
+    d0, d1 = slope[:k], slope[1 : k + 1]
+    v_lo, v_hi = _hull(x[:k], x[1 : k + 1], d0, d1, step)
+    v_half = window + hermite * bound[4] + v_slack
+    value_ok = [meets(v_lo, v_hi, sign * target_value, v_half) for sign in (1.0, -1.0)]
     near = value_ok[0] | value_ok[1]
+    m = np.flatnonzero(near)
     if target_slope is None:
-        return step * m[near]
-    m = m[near]
-    curve = _on_grid(-w * w * coeffs, grid, scale)
-    s_lo, s_hi = _hull(d0[near], d1[near], curve[m], curve[(m + 1) % grid], step)
-    s_err = hermite * bound[5] + bound[3] / 6.0
-    possible = np.zeros(len(m), dtype=bool)
-    for sign, ok in zip((1.0, -1.0), value_ok):
-        # |c/a - 1| <= tol is |c - a| <= tol*|a|, in per-sample units.
-        center = sign * target_slope * record.dt
-        half = slope_tol_rel * abs(center)
-        err = s_err + _ROUNDING_SLACK * (bound[1] + abs(center) + half)
-        possible |= ok[near] & meets(s_lo, s_hi, center, half, err)
-    return step * m[possible]
+        return step * m
+    # |c/a - 1| <= tol is |c - a| <= tol*|a|, in per-sample units; the
+    # windows of both signs have the same half width.
+    center = target_slope * record.dt
+    half = slope_tol_rel * abs(center)
+    s_slack = _ROUNDING_SLACK * (bound[1] + abs(center) + half)
+    s_lo, s_hi = _hull(d0[near], d1[near], grids[2][m], grids[2][m + 1], step)
+    s_half = half + hermite * bound[5] + bound[3] / 6.0 + s_slack
+    m = m[(value_ok[0][near] & meets(s_lo, s_hi, center, s_half))
+          | (value_ok[1][near] & meets(s_lo, s_hi, -center, s_half))]
+    for lo in range(0, len(m), _JOINT_BLOCK):
+        block = m[lo : lo + _JOINT_BLOCK]
+        v, s, v_bound, s_bound = _pointwise(grids, bound, block, step)
+        v_lim, s_lim = window + v_bound + v_slack, half + s_bound + s_slack
+        joint = np.zeros(len(block), dtype=bool)
+        for sign in (1.0, -1.0):
+            joint |= np.any((np.abs(v - sign * target_value) <= v_lim)
+                            & (np.abs(s - sign * center) <= s_lim), axis=1)
+        if joint.any():
+            return step * np.concatenate((block[joint], m[lo + _JOINT_BLOCK :]))
+    return step * m[:0]
 
 
 def find_start_point(
@@ -374,18 +447,22 @@ def find_start_point(
 
     The samples s are the direct sums of ``synthesize_window``, formed only
     where a match is possible.  The record's grid of every D-th sample, with
-    the first two derivatives there, bounds each interval [D*m, D*(m+1)].
-    The cubic Hermite interpolant of the value, with end values y0, y1 and
-    end slopes d0, d1, lies between its least and greatest Bernstein control
-    point, y0, y0 + D*d0/3, y1 - D*d1/3 and y1; so does that of the slope,
-    from the slopes and curvatures.  Each enclosure is widened by the
-    interpolant's error bound, D^4/384 * max|x''''| for the value and
-    D^4/384 * max|x'''''| for the slope, and the slope's also by the central
-    difference's error max|x'''|/6 (all per sample; max|x^(j)| <= sum_k
-    |a_k| w_k^j for bin amplitudes a_k and frequencies w_k).  The intervals
-    whose enclosures meet a target window of either sign are refined in
-    order, D + 2 samples at a time, and the first that holds a match holds
-    the earliest.
+    the first two derivatives there, bounds each interval [D*m, D*(m+1)] in
+    three stages (``_possible_intervals``).  The cubic Hermite interpolant
+    of the value, with end values y0, y1 and end slopes d0, d1, lies between
+    its least and greatest Bernstein control point, y0, y0 + D*d0/3,
+    y1 - D*d1/3 and y1; so does that of the slope, from the slopes and
+    curvatures.  The value hull and then the slope hull widen these
+    enclosures by the interpolant's error bound, D^4/384 * max|x''''| for
+    the value and D^4/384 * max|x'''''| for the slope, and the slope's also
+    by the central difference's error max|x'''|/6 (all per sample;
+    max|x^(j)| <= sum_k |a_k| w_k^j for bin amplitudes a_k and frequencies
+    w_k).  The joint stage evaluates both interpolants at each sample
+    D*m + t of an interval and widens them by the pointwise bounds, with
+    e(t) = (t*(D - t))^2/24 in place of D^4/384; it keeps the interval only
+    if one sample can meet the value and the slope window of the same sign.
+    The kept intervals are refined in order, D + 2 samples at a time, and
+    the first that holds a match holds the earliest.
 
     ``max_index`` caps the search so enough samples remain after the start
     for a full transient run.  Returns None when nothing qualifies.

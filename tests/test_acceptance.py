@@ -127,11 +127,12 @@ def _verdict(num: int, ok: bool, detail: str) -> str:
 
 @pytest.fixture(scope="module")
 def experiments():
-    """The frozen four-scenario experiment at the default master seed."""
+    """The frozen four-scenario experiment at the default master seed, on
+    two workers: the worker count changes no result."""
     results = {}
     for scenario in ScenarioKind:
         t0 = time.perf_counter()
-        summary = run_experiment(CFG, scenario, TAUS, N_TRIALS, MASTER_SEED, n_cal=N_CAL)
+        summary = run_experiment(CFG, scenario, TAUS, N_TRIALS, MASTER_SEED, n_cal=N_CAL, jobs=2)
         elapsed = time.perf_counter() - t0
         results[scenario] = (summary, elapsed)
         cells = "  ".join(
@@ -397,7 +398,7 @@ def test_scenario4_residual_leak_at_n_cal_2000():
     # the README's n_cal = 2000 row of "Scenario 4's residual leak": a long
     # rehearsal finds the sign from the second fly time on
     summary = run_experiment(CFG, ScenarioKind.ZERO_START_SLOPE_MATCHED, TAUS, N_TRIALS,
-                             MASTER_SEED, n_cal=2000)
+                             MASTER_SEED, n_cal=2000, jobs=2)
     assert [(s.sign_u, s.sign_i) for s in summary.signs] == [(0, 0), (1, 0), (1, 1), (1, 1)]
     assert np.round(summary.p_ev, 3).tolist() == [0.509, 0.555, 0.574, 0.573]
     assert np.round(summary.p_ei, 3).tolist() == [0.509, 0.493, 0.551, 0.562]

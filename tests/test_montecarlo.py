@@ -95,12 +95,10 @@ class TestRunExperiment:
         assert np.array_equal(one.decisions_i, many.decisions_i)
         assert np.array_equal(one.p_ev, many.p_ev)
 
-    @pytest.mark.parametrize("jobs, cpus, n, workers", [
-        (64, 1000, 200, 25),   # 25 chunks of 8 trials: one worker per chunk
-        (8, 3, 200, 3),        # three CPUs
-        (2, 2, 50, 2),
-    ])
-    def test_worker_count_capped_by_chunks_and_cpus(self, monkeypatch, jobs, cpus, n, workers):
+    @staticmethod
+    def _count_workers(monkeypatch, jobs, n):
+        """The max_workers of every pool that ``_collect`` starts for n
+        scenario-1 trials on ``jobs`` workers, run in process."""
         started = []
 
         class InProcessPool:
@@ -117,14 +115,36 @@ class TestRunExperiment:
                 return map(fn, tasks)
 
         monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InProcessPool)
-        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
         run = functools.partial(
             montecarlo._run_trial, CFG, ScenarioKind.NO_DEFENSE, master_seed=5,
             tau_steps=(100,), params=SearchParams(record_len=2**15),
         )
         results = montecarlo._collect(run, ((montecarlo._PHASE_EVAL, n),), jobs)
-        assert started == [workers]
         assert all(len(column) == n for column in results)
+        return started
+
+    @pytest.mark.parametrize("jobs, cpus, n, workers", [
+        (64, 1000, 200, 25),   # 25 chunks of 8 trials: one worker per chunk
+        (8, 3, 200, 3),        # three CPUs
+        (2, 2, 50, 2),
+    ])
+    def test_worker_count_capped_by_chunks_and_cpus(self, monkeypatch, jobs, cpus, n, workers):
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
+        assert self._count_workers(monkeypatch, jobs, n) == [workers]
+
+    def test_one_cpu_affinity_runs_in_process(self, monkeypatch):
+        # a process pinned to one CPU of eight (taskset -c 1) starts no pool
+        monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: {1}, raising=False)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 8)
+        assert montecarlo._usable_cpus() == 1
+        assert self._count_workers(monkeypatch, 2, 50) == []
+
+    def test_cpu_count_where_the_os_reports_no_affinity(self, monkeypatch):
+        monkeypatch.delattr(montecarlo.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 3)
+        assert montecarlo._usable_cpus() == 3
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: None)
+        assert montecarlo._usable_cpus() == 1
 
     @pytest.mark.parametrize("scenario", [ScenarioKind.NO_DEFENSE,
                                           ScenarioKind.ZERO_START_SLOPE_MATCHED])
@@ -138,7 +158,7 @@ class TestRunExperiment:
                 super().__init__(max_workers=max_workers)
 
         monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", CountingPool)
-        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
         one, two = (
             run_experiment(CFG, scenario, TAUS, 16, 1, n_cal=50, params=FAST, jobs=jobs)
             for jobs in (1, 2)

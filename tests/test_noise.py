@@ -20,6 +20,8 @@ from kljnsim.noise import (
     MAX_GRID_STEP,
     NoiseRecord,
     StartPoint,
+    _grids_and_bounds,
+    _pointwise,
     _possible_intervals,
     find_start_point,
     grid_step,
@@ -593,6 +595,27 @@ def test_bracket_keeps_every_accepted_sample(n, steps):
                                for i in hits[~kept[hits // grid.step]]]
     assert not missed
     assert accepted > 10000
+
+
+@pytest.mark.parametrize("step", [128, 64])
+def test_pointwise_bounds_enclose_every_sample(step):
+    # every sample of a 2^16-sample record, and its central-difference
+    # slope, lies within the joint stage's pointwise bound of the Hermite
+    # interpolants of its grid interval: at every sample, not only where a
+    # target is near, for 20 seeds and both parties.  The record is
+    # periodic, so sample 0's central difference reaches the last sample.
+    n = 2**16
+    for seed in range(20):
+        for high in (False, True):
+            sigma = johnson_rms(T, R_H if high else R_L, B)
+            full = synthesize_record(np.random.SeedSequence(seed), n, DT, B, sigma).samples
+            grid = synthesize_record(np.random.SeedSequence(seed), n, DT, B, sigma, step)
+            v, s, v_err, s_err = _pointwise(*_grids_and_bounds(grid, 3), np.arange(n // step),
+                                            step)
+            central = (np.roll(full, -1) - np.roll(full, 1)) / 2.0
+            rounding = 1e-12 * sigma
+            assert np.all(np.abs(full.reshape(-1, step) - v) <= v_err + rounding)
+            assert np.all(np.abs(central.reshape(-1, step) - s) <= s_err + rounding)
 
 
 def _two_pass_search(record, target_value, value_tol_rel, target_slope, slope_tol_rel, max_index):

@@ -10,7 +10,12 @@ from test_noise import estimate_slope, reference_search
 
 from kljnsim import noise, protocol
 from kljnsim.line import run_transient
-from kljnsim.montecarlo import run_experiment, trial_waveforms, validate_steady_state
+from kljnsim.montecarlo import (
+    _PHASE_EVAL,
+    run_experiment,
+    trial_waveforms,
+    validate_steady_state,
+)
 from kljnsim.protocol import (
     MAX_REGEN,
     BitState,
@@ -322,6 +327,24 @@ class TestPrepareGenerators:
             tracemalloc.stop()
         assert max(attempts) >= 3
         assert peak < 8 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+    @pytest.mark.parametrize("scenario, most", [(ScenarioKind.ZERO_START_ONLY, 4.7),
+                                                (ScenarioKind.RATIO_START_NONZERO, 5.0),
+                                                (ScenarioKind.ZERO_START_SLOPE_MATCHED, 5.0)])
+    def test_direct_sums_per_trial(self, monkeypatch, scenario, most):
+        # 60 default evaluation trials at master seed 1, each party on the
+        # seed that montecarlo._trial gives it, and 400 steps, the default
+        # tables' longest window.  The count holds the played windows and
+        # the search's refinements: 4.68, 4.30 and 4.35 per trial for
+        # scenarios 2, 3 and 4, where the search without its joint stage
+        # took 4.68, 27.47 and 23.33.
+        calls = []
+        direct_sum = noise._direct_sum
+        monkeypatch.setattr(noise, "_direct_sum", lambda *a: calls.append(1) or direct_sum(*a))
+        for trial in range(60):
+            seed = np.random.SeedSequence(1, spawn_key=(int(scenario), _PHASE_EVAL, trial))
+            prepare_generators(scenario, BitState.HL, CFG, seed.spawn(3)[0], 400)
+        assert len(calls) / 60 <= most
 
     def test_rejects_records_too_short_for_the_transient(self):
         n = 2**16
