@@ -33,14 +33,7 @@ from .line import (
     reflection_coefficient,
     run_transient,
 )
-from .noise import (
-    _in_band_coefficients,
-    _on_grid,
-    _parseval_scale,
-    grid_step,
-    in_band_bins,
-    synthesize_record,
-)
+from .noise import _on_grid, draw_spectrum, grid_step, in_band_bins, synthesize_record
 from .protocol import (
     BitState,
     PhysicalConfig,
@@ -428,9 +421,9 @@ def _steady_segments(
     """Per-chunk means of v^2, i^2 (end-averaged) and v*i at A over each
     segment's settled wire series, and the settled-engine error of segment 0.
 
-    A segment's drives are the n-periodic records of its seeds' in-band
-    coefficients at their Parseval scale, so its settled series are exactly
-    ``periodic_steady_state`` of them.  Each series is sampled on the grid of
+    A segment's drives are the n-periodic records of the spectra its seeds
+    draw, so its settled series are exactly ``periodic_steady_state`` of
+    their scaled coefficients.  Each series is sampled on the grid of
     every D-th sample (``grid_step``); the band is below that grid's Nyquist
     frequency with room for a square's, so the mean of a square or product
     over the grid is its full-period mean.  The chunks split the grid.
@@ -443,14 +436,10 @@ def _steady_segments(
     state_key = 0 if state == BitState.HL else 1
     for k in range(n_seg):
         seeds = np.random.SeedSequence(seed, spawn_key=(90, state_key, k)).spawn(2)
-        drives = []
-        for drive_seed, r in zip(seeds, (r_a, r_b)):
-            sigma = config.sigma(r)
-            coeffs = _in_band_coefficients(drive_seed, SEGMENT_SAMPLES, config.dt,
-                                           config.bandwidth, sigma)
-            drives.append(_parseval_scale(coeffs, sigma) * coeffs)
+        drawn = [draw_spectrum(drive_seed, SEGMENT_SAMPLES, config.dt, config.bandwidth,
+                               config.sigma(r)) for drive_seed, r in zip(seeds, (r_a, r_b))]
         spectra = periodic_steady_state(r_a, r_b, config.z0, config.dt_divisor,
-                                        SEGMENT_SAMPLES, *drives)
+                                        SEGMENT_SAMPLES, *(d.scale * d.coeffs for d in drawn))
         v_a, v_b, i_a, i_b = (_on_grid(z, count, 1.0) for z in spectra)
         for c in range(chunks_per_seg):
             sl = slice(c * chunk, (c + 1) * chunk)
@@ -458,7 +447,7 @@ def _steady_segments(
             i2.append(0.5 * (np.mean(i_a[sl] ** 2) + np.mean(i_b[sl] ** 2)))
             p.append(np.mean(v_a[sl] * i_a[sl]))
         if k == 0:
-            error = _settled_engine_error(config, r_a, r_b, seeds, spectra, discard, step)
+            error = _settled_engine_error(config, r_a, r_b, drawn, spectra, discard, step)
     return np.array(v2), np.array(i2), np.array(p), error
 
 
@@ -466,7 +455,7 @@ def _settled_engine_error(
     config: PhysicalConfig,
     r_a: float,
     r_b: float,
-    seeds,
+    drawn,
     spectra,
     discard: int,
     step: int,
@@ -475,15 +464,15 @@ def _settled_engine_error(
     ``discard`` samples, against their periodic steady state ``spectra``,
     relative to each series' RMS.
 
-    The segment's two records are synthesized from ``seeds`` and propagated
-    from a cold start, then freed.  Each series is compared on the grids of
-    every ``step``-th sample shifted by s = 0 .. gcd(step, d) - 1, which
-    together meet every position of the engine's blocks of d samples: the
-    comparison needs no full-length periodic series.
+    The segment's two records are synthesized from their ``drawn`` spectra
+    and propagated from a cold start, then freed.  Each series is compared
+    on the grids of every ``step``-th sample shifted by
+    s = 0 .. gcd(step, d) - 1, which together meet every position of the
+    engine's blocks of d samples: the comparison needs no full-length
+    periodic series.
     """
     n, d = SEGMENT_SAMPLES, int(config.dt_divisor)
-    rec_a, rec_b = (synthesize_record(drive_seed, n, config.dt, config.bandwidth, config.sigma(r))
-                    for drive_seed, r in zip(seeds, (r_a, r_b)))
+    rec_a, rec_b = (synthesize_record(spectrum) for spectrum in drawn)
     waves = _propagate(rec_a.samples, rec_b.samples, r_a, r_b, config.z0, d)
     del rec_a, rec_b
     bins = np.arange(1, len(spectra[0]) + 1)

@@ -2,22 +2,24 @@
 
 The voltage generators of both communicating parties are modelled as
 band-limited white Gaussian noise scaled to the Johnson-Nyquist RMS of the
-connected resistor.  Records are synthesized in the frequency domain:
-independent complex Gaussian coefficients on the in-band bins, zero
-everywhere else, inverse real FFT.  This makes the out-of-band spectral
-power zero by construction at any simulation timestep.
+connected resistor.  Records are made in the frequency domain: independent
+complex Gaussian coefficients on the in-band bins, zero everywhere else,
+inverse real FFT.  This makes the out-of-band spectral power zero by
+construction at any simulation timestep.
 
-Every record is scaled by one Parseval rule.  With the DC and Nyquist bins
-zero, the mean square of a record is half the summed power of its in-band
-coefficients X_k, so the factor sigma*sqrt(2/sum_k |X_k|^2) gives it a
-sample RMS of sigma, to rounding, from the coefficients alone.  With the
-default parameters a record holds only ~524 in-band frequency bins, so an
-ensemble-normalized record would show a ~2% RMS spread between seeds; the
-exchange protocol (and its tolerance checks) assume both parties know the
-generator amplitudes exactly.  Since the scale needs no samples, a full
-record, its grid of every D-th sample and a short window (a random start
-plays a few hundred samples, which ``synthesize_window`` sums over the
-in-band bins without the full record) all take the same one.
+``draw_spectrum`` is the one place where a seed becomes a record: it draws
+the in-band coefficients X_k and their Parseval scale once, into a
+``Spectrum``.  With the DC and Nyquist bins zero, the mean square of a
+record is half the summed power of its coefficients, so the factor
+sigma*sqrt(2/sum_k |X_k|^2) gives it a sample RMS of sigma, to rounding,
+from the coefficients alone.  With the default parameters a record holds
+only ~524 in-band frequency bins, so an ensemble-normalized record would
+show a ~2% RMS spread between seeds; the exchange protocol (and its
+tolerance checks) assume both parties know the generator amplitudes
+exactly.  Since the scale needs no samples, a full record or its grid of
+every D-th sample (``synthesize_record``) and a short window
+(``Spectrum.window``: a random start plays a few hundred samples, summed
+over the in-band bins without the full record) all read the same spectrum.
 
 The start-point search implements the defense: the earliest sample of a
 record matching a target value and target slope within relative
@@ -47,13 +49,14 @@ import numpy as np
 __all__ = [
     "BOLTZMANN",
     "NoiseRecord",
+    "Spectrum",
     "StartPoint",
     "johnson_rms",
     "slope_rms",
     "in_band_bins",
     "grid_step",
+    "draw_spectrum",
     "synthesize_record",
-    "synthesize_window",
     "find_start_point",
 ]
 
@@ -101,35 +104,6 @@ def slope_rms(bandwidth: float, sigma: float) -> float:
     if not (bandwidth > 0 and 0 < sigma < math.inf):
         raise ValueError(f"need bandwidth > 0 and a finite sigma > 0, got ({bandwidth}, {sigma})")
     return sigma * 2.0 * math.pi * bandwidth / math.sqrt(3.0)
-
-
-@dataclass(frozen=True)
-class NoiseRecord:
-    """A sampled band-limited Gaussian generator voltage of
-    n = step * len(samples) samples.
-
-    samples     samples 0, step, 2*step, ... of the record (V), scaled by
-                the Parseval rule to a record of sample RMS target_rms
-    dt          sampling interval (s)
-    target_rms  generator RMS the record is scaled to (V)
-    coeffs      complex coefficients of in-band bins 1 .. n_bins that every
-                sample is a sum of
-    step        grid step of ``samples``
-    """
-
-    samples: np.ndarray
-    dt: float
-    target_rms: float
-    coeffs: np.ndarray = field(repr=False)
-    step: int = 1
-
-    def __post_init__(self) -> None:
-        if len(self.samples) < 2:
-            raise ValueError("a noise record needs at least 2 samples")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if not 0 < self.target_rms < math.inf:
-            raise ValueError("target_rms must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -188,59 +162,91 @@ def grid_step(n: int, dt: float, bandwidth: float) -> int:
     return step
 
 
-def _in_band_coefficients(
+@dataclass(frozen=True)
+class Spectrum:
+    """The in-band coefficients of an n-sample band-limited Gaussian record,
+    as ``draw_spectrum`` draws them; every sample of the record is a sum
+    over them.
+
+    coeffs  complex coefficients X_k of bins 1 .. n_bins
+    n       samples in the record
+    dt      sampling interval (s)
+    sigma   sample RMS the record is scaled to (V)
+    scale   the Parseval scale sigma*sqrt(2/sum_k |X_k|^2)
+    """
+
+    coeffs: np.ndarray = field(repr=False)
+    n: int
+    dt: float
+    sigma: float
+    scale: float
+
+    def window(self, start: int, count: int) -> np.ndarray:
+        """Samples start .. start+count-1 of the record, without
+        synthesizing the other samples.
+
+        Sample m is the inverse FFT sum at m alone, with the Parseval scale:
+        scale * Re sum_k X_k exp(2*pi*i*k*m/n).  It matches
+        ``synthesize_record``'s slice to about 1e-14 of sigma.  A window
+        longer than n / n_bins samples (about 1/(B*dt)) would cost more than
+        the whole record, and is cut from ``synthesize_record``'s samples,
+        bit for bit.
+        """
+        if not (0 <= start and 1 <= count and start + count <= self.n):
+            raise ValueError(f"window of {count} samples from {start} is not inside "
+                             f"{self.n} samples")
+        if count * len(self.coeffs) > self.n:
+            return _on_grid(self.coeffs, self.n, self.scale)[start : start + count].copy()
+        return _direct_sum(self, start, count)
+
+
+def draw_spectrum(
     seed: int | np.random.SeedSequence,
     n: int,
     dt: float,
     bandwidth: float,
     sigma: float,
-) -> np.ndarray:
-    """Check the synthesis inputs and draw the complex coefficients of bins
-    1 .. floor(B*n*dt) for ``seed``."""
-    n_bins = in_band_bins(n, dt, bandwidth)
-    if not 0 < sigma < math.inf:
-        raise ValueError(f"sigma must be finite and positive, got {sigma}")
-    rng = np.random.default_rng(seed)
-    return rng.standard_normal(n_bins) + 1j * rng.standard_normal(n_bins)
+) -> Spectrum:
+    """Draw the spectrum of an n-sample record with a flat band (0, B] and
+    sample RMS sigma.
 
-
-def _parseval_scale(coeffs: np.ndarray, sigma: float) -> float:
-    """The factor c such that c * Re sum_k X_k exp(2*pi*i*k*m/n) is sample m
-    of a record of sample RMS sigma: sigma*sqrt(2/sum_k |X_k|^2)."""
-    power = float(np.sum(coeffs.real**2 + coeffs.imag**2))
-    return sigma * math.sqrt(2.0 / power)
-
-
-def synthesize_record(
-    seed: int | np.random.SeedSequence,
-    n: int,
-    dt: float,
-    bandwidth: float,
-    sigma: float,
-    step: int = 1,
-) -> NoiseRecord:
-    """Synthesize a stationary Gaussian record with a flat spectrum on (0, B].
-
-    Frequency-domain construction: bins k = 1 .. floor(B*n*dt) receive
-    independent complex unit Gaussians, all other bins (including DC and
-    everything above B) stay exactly zero.  Every step-th sample is made by
-    an inverse real FFT of length n/step and scaled by the Parseval rule,
-    sigma*sqrt(2/sum_k |X_k|^2), so a full record (step 1) has sample RMS
-    sigma to rounding.  The step must be an integer >= 1 that divides n and
-    keeps n_bins < n/(2*step), as ``grid_step``'s does; the samples of a
-    grid equal the full record's to about 1e-14 of sigma.
-
+    Bins k = 1 .. floor(B*n*dt) receive independent complex unit Gaussians;
+    all other bins (including DC and everything above B) stay exactly zero.
     Deterministic given the seed.  Requires n >= 2, a finite sigma > 0, at
     least ten in-band bins (n*dt*B >= 10) and B below the Nyquist frequency
     1/(2*dt).
     """
-    coeffs = _in_band_coefficients(seed, n, dt, bandwidth, sigma)
+    n_bins = in_band_bins(n, dt, bandwidth)
+    if not 0 < sigma < math.inf:
+        raise ValueError(f"sigma must be finite and positive, got {sigma}")
+    rng = np.random.default_rng(seed)
+    coeffs = rng.standard_normal(n_bins) + 1j * rng.standard_normal(n_bins)
+    power = float(np.sum(coeffs.real**2 + coeffs.imag**2))
+    return Spectrum(coeffs, n, dt, sigma, sigma * math.sqrt(2.0 / power))
+
+
+@dataclass(frozen=True)
+class NoiseRecord:
+    """Samples 0, step, 2*step, ... of the record of ``spectrum`` (V)."""
+
+    spectrum: Spectrum
+    samples: np.ndarray
+    step: int = 1
+
+
+def synthesize_record(spectrum: Spectrum, step: int = 1) -> NoiseRecord:
+    """Every step-th sample of the record of ``spectrum``, by an inverse real
+    FFT of length n/step at the Parseval scale, so a full record (step 1)
+    has sample RMS sigma to rounding.  The step must be an integer >= 1 that
+    divides n and keeps n_bins < n/(2*step), as ``grid_step``'s does; the
+    samples of a grid equal the full record's to about 1e-14 of sigma.
+    """
+    n, n_bins = spectrum.n, len(spectrum.coeffs)
     if not (isinstance(step, numbers.Integral) and step >= 1 and n % step == 0
-            and 2 * step * len(coeffs) < n):
+            and 2 * step * n_bins < n):
         raise ValueError(f"step {step} does not divide {n} samples into a grid that holds "
-                         f"{len(coeffs)} in-band bins below its Nyquist frequency")
-    return NoiseRecord(_on_grid(coeffs, n // step, _parseval_scale(coeffs, sigma)), dt, sigma,
-                       coeffs, step)
+                         f"{n_bins} in-band bins below its Nyquist frequency")
+    return NoiseRecord(spectrum, _on_grid(spectrum.coeffs, n // step, spectrum.scale), step)
 
 
 def _on_grid(spectrum: np.ndarray, count: int, scale: float) -> np.ndarray:
@@ -266,40 +272,13 @@ def _phase_matrix(n: int, n_bins: int, count: int) -> np.ndarray:
     return phases
 
 
-def _direct_sum(coeffs: np.ndarray, n: int, sigma: float, start: int, count: int) -> np.ndarray:
-    """Samples start .. start+count-1 of the n-sample record of ``coeffs``
-    at sample RMS sigma, each summed over the in-band bins; ``start`` is
-    taken mod n."""
+def _direct_sum(spectrum: Spectrum, start: int, count: int) -> np.ndarray:
+    """Samples start .. start+count-1 of the record of ``spectrum``, each
+    summed over the in-band bins; ``start`` is taken mod n."""
+    coeffs, n = spectrum.coeffs, spectrum.n
     shift = np.exp((2j * math.pi / n) * ((np.arange(1, len(coeffs) + 1) * start) % n))
     sums = _phase_matrix(n, len(coeffs), count) @ (coeffs * shift)
-    return _parseval_scale(coeffs, sigma) * sums.real
-
-
-def synthesize_window(
-    seed: int | np.random.SeedSequence,
-    n: int,
-    dt: float,
-    bandwidth: float,
-    sigma: float,
-    start: int,
-    count: int,
-) -> np.ndarray:
-    """Samples start .. start+count-1 of ``synthesize_record`` for the same
-    arguments, without synthesizing the other samples.
-
-    The coefficients X_k are drawn as ``synthesize_record`` draws them, and
-    sample m is the inverse FFT sum at m alone, with the Parseval scale:
-    sigma*sqrt(2)*Re sum_k X_k exp(2*pi*i*k*m/n) / sqrt(sum_k |X_k|^2).  It
-    matches the record's slice to about 1e-14 of sigma.  A window longer
-    than n / n_bins samples (about 1/(B*dt)) would cost more than the whole
-    record, and is cut from ``synthesize_record``'s samples, bit for bit.
-    """
-    coeffs = _in_band_coefficients(seed, n, dt, bandwidth, sigma)
-    if not (0 <= start and 1 <= count and start + count <= n):
-        raise ValueError(f"window of {count} samples from {start} is not inside {n} samples")
-    if count * len(coeffs) > n:
-        return _on_grid(coeffs, n, _parseval_scale(coeffs, sigma))[start : start + count].copy()
-    return _direct_sum(coeffs, n, sigma, start, count)
+    return spectrum.scale * sums.real
 
 
 def _hull(y0, y1, d0, d1, h: float) -> tuple[np.ndarray, np.ndarray]:
@@ -332,8 +311,7 @@ def _grids_and_bounds(record: NoiseRecord, orders: int) -> tuple[np.ndarray, lis
     appended (the end of the last interval); and the bounds
     sum_k a_k w_k^j, j < 6, on the j-th derivative per sample, for the
     scaled bin amplitudes a_k and bin frequencies per sample w_k."""
-    coeffs, grid = record.coeffs, len(record.samples)
-    scale = _parseval_scale(coeffs, record.target_rms)
+    coeffs, scale, grid = record.spectrum.coeffs, record.spectrum.scale, len(record.samples)
     w = (2.0 * math.pi / (record.step * grid)) * np.arange(1, len(coeffs) + 1)
     bound = (scale * np.abs(coeffs) * w ** np.arange(6)[:, None]).sum(axis=1).tolist()
     grids = np.empty((orders, grid + 1))
@@ -404,7 +382,7 @@ def _possible_intervals(
         return step * m
     # |c/a - 1| <= tol is |c - a| <= tol*|a|, in per-sample units; the
     # windows of both signs have the same half width.
-    center = target_slope * record.dt
+    center = target_slope * record.spectrum.dt
     half = slope_tol_rel * abs(center)
     s_slack = _ROUNDING_SLACK * (bound[1] + abs(center) + half)
     s_lo, s_hi = _hull(d0[near], d1[near], grids[2][m], grids[2][m + 1], step)
@@ -445,10 +423,11 @@ def find_start_point(
     ``negate=True`` and reports the value/slope of the sign-flipped record,
     which meets the original targets verbatim.
 
-    The samples s are the direct sums of ``synthesize_window``, formed only
-    where a match is possible.  The record's grid of every D-th sample, with
-    the first two derivatives there, bounds each interval [D*m, D*(m+1)] in
-    three stages (``_possible_intervals``).  The cubic Hermite interpolant
+    The samples s are direct sums over the record's spectrum, as
+    ``Spectrum.window`` forms them, made only where a match is possible.
+    The record's grid of every D-th sample, with the first two derivatives
+    there, bounds each interval [D*m, D*(m+1)] in three stages
+    (``_possible_intervals``).  The cubic Hermite interpolant
     of the value, with end values y0, y1 and end slopes d0, d1, lies between
     its least and greatest Bernstein control point, y0, y0 + D*d0/3,
     y1 - D*d1/3 and y1; so does that of the slope, from the slopes and
@@ -474,15 +453,15 @@ def find_start_point(
             raise ValueError("target_slope must be nonzero (use None for slope-free)")
         if slope_tol_rel <= 0:
             raise ValueError("slope_tol_rel must be positive")
-    step, dt, rms = record.step, record.dt, record.target_rms
-    n = step * len(record.samples)
-    hi = min(max_index, n - 2)
+    step, spectrum = record.step, record.spectrum
+    dt, rms = spectrum.dt, spectrum.sigma
+    hi = min(max_index, spectrum.n - 2)
     window = value_tol_rel * rms
     for first in _possible_intervals(record, hi, target_value, window, target_slope,
                                      slope_tol_rel).tolist():
         # Samples first - 1 .. first + step, for the samples the interval
         # holds and their neighbours.
-        s = _direct_sum(record.coeffs, n, rms, first - 1, step + 2)
+        s = _direct_sum(spectrum, first - 1, step + 2)
         index = np.arange(max(first, 1), min(first + step - 1, hi) + 1)
         values = s[index - first + 1]
         slopes = (s[index - first + 2] - s[index - first]) / (2.0 * dt)

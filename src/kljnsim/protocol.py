@@ -30,12 +30,12 @@ import numpy as np
 
 from .noise import (
     StartPoint,
+    draw_spectrum,
     find_start_point,
     grid_step,
     johnson_rms,
     slope_rms,
     synthesize_record,
-    synthesize_window,
 )
 
 __all__ = [
@@ -216,17 +216,18 @@ def _prepare_party(
     """Pick the start point of a party whose record has RMS ``sigma``, and
     the samples it plays from there.
 
-    With no value target the start is random: it draws its index first and
-    synthesizes only the window [index - 1, index + n_steps] of its record,
-    the played samples and one neighbour on each side for the
-    central-difference slope.
+    Every record is drawn once, by ``draw_spectrum``.  With no value target
+    the start is random: it draws its index first and forms only the window
+    [index - 1, index + n_steps] of its record's spectrum, the played
+    samples and one neighbour on each side for the central-difference
+    slope.
 
     Otherwise records are drawn until one holds a qualifying start point.
     Each is synthesized on the search grid of every ``grid_step``-th
     sample only, and ``find_start_point`` forms its samples by direct sums
-    where a match is possible; the played samples are the direct-sum window
-    of ``synthesize_window``, so no full record is made when the grid step
-    exceeds 1.  Record ``attempt`` searches at loosening level
+    where a match is possible; the played samples are the window of the
+    record's spectrum from the start, so no full record is made when the
+    grid step exceeds 1.  Record ``attempt`` searches at loosening level
     (attempt - 1) // MAX_REGEN, where the slope tolerance, and the value
     tolerance of a nonzero value target, are 2**level times their base; the
     achieved tolerances stay auditable in the StartPoint.  The zero window
@@ -241,8 +242,8 @@ def _prepare_party(
         child = seed.spawn(1)[0]
         rng = np.random.default_rng(child.spawn(1)[0])
         index = int(rng.integers(1, max_start + 1))
-        window = synthesize_window(child, n, config.dt, config.bandwidth, sigma, index - 1,
-                                   n_steps + 2)
+        window = draw_spectrum(child, n, config.dt, config.bandwidth, sigma).window(
+            index - 1, n_steps + 2)
         slope = float((window[2] - window[0]) / (2.0 * config.dt))
         start = StartPoint(index, float(window[1]), slope, math.nan, math.nan)
         # A copy, so the played samples own their memory, as a searched
@@ -254,14 +255,13 @@ def _prepare_party(
         # Powers of two scale exactly, as repeated doubling would.
         slope_tol = params.slope_tol * 2**level
         value_tol = params.value_tol * 2**level if target_value != 0.0 else params.value_tol
-        child = seed.spawn(1)[0]
-        record = synthesize_record(child, n, config.dt, config.bandwidth, sigma, step)
+        record = synthesize_record(
+            draw_spectrum(seed.spawn(1)[0], n, config.dt, config.bandwidth, sigma), step)
         start = find_start_point(record, target_value, value_tol, target_slope, slope_tol,
                                  max_start)
         if start is None:
             continue
-        played = synthesize_window(child, n, config.dt, config.bandwidth, sigma, start.index,
-                                   n_steps)
+        played = record.spectrum.window(start.index, n_steps)
         return GeneratorDrive(start, -played if start.negate else played, level > 0, attempt)
     slope = ("any slope" if target_slope is None
              else f"slope {target_slope:.6g} V/s within {slope_tol:g} relative")
@@ -282,7 +282,7 @@ def prepare_generators(
 ) -> tuple[GeneratorDrive, GeneratorDrive]:
     """Build both parties' generator drives for one bit exchange period.
 
-    Each record is synthesized at the Johnson RMS of the party's chosen
+    Each record is drawn at the Johnson RMS of the party's chosen
     resistor; the start point is selected per the scenario's rule.  The two
     parties use independent child streams of ``seed``, so swapping the state
     swaps which party receives the H-scaled targets.

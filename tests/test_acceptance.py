@@ -53,7 +53,7 @@ from kljnsim.attack import window_stats
 from kljnsim.cli import RunConfig, cmd_waveforms, parse_config
 from kljnsim.line import lattice_step_response, run_transient
 from kljnsim.montecarlo import run_experiment, trial_waveforms, validate_steady_state
-from kljnsim.noise import synthesize_record
+from kljnsim.noise import draw_spectrum, synthesize_record
 from kljnsim.protocol import BitState, PhysicalConfig, ScenarioKind, SearchParams
 
 CFG = PhysicalConfig()
@@ -272,7 +272,8 @@ def test_criterion_08_noise_quality():
     oob_ok = rms_ok = True
     lags, zeros = [], []
     for seed in (1, 2, 3):
-        rec = synthesize_record(np.random.SeedSequence(seed), n, CFG.dt, CFG.bandwidth, sigma)
+        rec = synthesize_record(draw_spectrum(np.random.SeedSequence(seed), n, CFG.dt,
+                                              CFG.bandwidth, sigma))
         spectrum = np.fft.rfft(rec.samples)
         n_band = int(math.floor(CFG.bandwidth * n * CFG.dt))
         in_band = np.sum(np.abs(spectrum[1 : n_band + 1]) ** 2)
@@ -285,7 +286,8 @@ def test_criterion_08_noise_quality():
         zeros.append(float(np.argmax(acf <= 0.0)) * CFG.dt)
     kurts = []
     for seed in range(100, 124):
-        x = synthesize_record(np.random.SeedSequence(seed), n, CFG.dt, CFG.bandwidth, sigma).samples
+        x = synthesize_record(draw_spectrum(np.random.SeedSequence(seed), n, CFG.dt,
+                                            CFG.bandwidth, sigma)).samples
         kurts.append(np.mean(x**4) / np.mean(x**2) ** 2 - 3.0)
     kurt_mean = float(np.mean(kurts))
     kurt_se = float(np.std(kurts, ddof=1)) / math.sqrt(len(kurts))

@@ -420,7 +420,7 @@ class TestMain:
         # 2^34 samples would need tens of GiB; the cap rejects it before any synthesis
         def no_synthesis(*args, **kwargs):
             raise AssertionError("synthesized a record")
-        for name in ("synthesize_record", "synthesize_window"):
+        for name in ("draw_spectrum", "synthesize_record"):
             monkeypatch.setattr(protocol, name, no_synthesis)
         out = tmp_path / "out"
         t0 = time.perf_counter()

@@ -25,7 +25,7 @@ from kljnsim.line import (
     reflection_coefficient,
     run_transient,
 )
-from kljnsim.noise import BOLTZMANN
+from kljnsim.noise import BOLTZMANN, in_band_bins
 from kljnsim.protocol import PhysicalConfig
 
 CFG = PhysicalConfig()
@@ -486,6 +486,36 @@ class TestPeriodicSteadyState:
         w_b, w_a, j_b, j_a = periodic_steady_state(R_L, R_H, Z0, D, self.N, u[1], u[0])
         for fwd, rev in ((v_a, w_a), (v_b, w_b), (i_a, j_a), (i_b, j_b)):
             np.testing.assert_array_equal(rev, fwd)
+
+    @pytest.mark.parametrize("config", [
+        CFG, PhysicalConfig(r_h=5e5, r_l=3.0, z0=300.0, fly_time=3e-5),
+    ], ids=["defaults", "extreme"])
+    def test_johnson_generators_are_in_detailed_balance(self, config):
+        # The exact expectation over the drives of validate's segments.  The
+        # two Johnson generators are independent, so the expected power and
+        # levels of each bin add the responses to a unit generator at one
+        # end at a time, each weighted by E|U_k|^2 = 2*sigma^2/n_bins.  Per
+        # bin, the period mean of v*i is Re(V*conj(I))/2 and that of v^2 is
+        # |V|^2/2.
+        n_bins = in_band_bins(self.N, config.dt, config.bandwidth)
+        r_a, r_b = config.r_h, config.r_l
+        unit, zero = np.ones(n_bins, dtype=complex), np.zeros(n_bins, dtype=complex)
+        flows, levels = [], np.zeros(4)
+        for r, drives in ((r_a, (unit, zero)), (r_b, (zero, unit))):
+            weight = 2.0 * config.sigma(r) ** 2 / n_bins
+            spectra = periodic_steady_state(r_a, r_b, config.z0, config.dt_divisor, self.N,
+                                            *drives)
+            v_a, _, i_a, _ = spectra
+            flows.append(0.5 * weight * (v_a * i_a.conj()).real)
+            levels += [0.5 * weight * float(np.sum(np.abs(z) ** 2)) for z in spectra]
+        # what A's generator sends into the line at A, B's takes out of it
+        from_a, from_b = flows
+        assert np.all(from_a > 0) and np.all(from_b < 0)
+        assert np.all(np.abs(from_a + from_b) <= 1e-11 * (from_a - from_b))
+        v2, i2 = ideal_line_steady_state(r_a, r_b, config.z0, config.fly_time,
+                                         np.arange(1, n_bins + 1) / (self.N * config.dt),
+                                         config.sigma(r_a) ** 2, config.sigma(r_b) ** 2)
+        np.testing.assert_allclose(levels, [*v2, *i2], rtol=1e-11, atol=0)
 
 
 class TestTrialWaveformsTsv:

@@ -316,6 +316,16 @@ class TestValidateSteadyState:
         assert report.n_segments == 4
         assert lengths == [montecarlo.SEGMENT_SAMPLES] * 2
 
+    def test_one_draw_per_record(self, monkeypatch):
+        # one segment per state, two records each: the periodic steady state
+        # and the propagated records share each record's draw
+        calls = []
+        draw = montecarlo.draw_spectrum
+        monkeypatch.setattr(montecarlo, "draw_spectrum", lambda *a: calls.append(1) or draw(*a))
+        report = validate_steady_state(CFG, montecarlo.SEGMENT_SAMPLES * CFG.dt, 1)
+        assert report.n_segments == 1
+        assert len(calls) == 4
+
     def test_holds_one_segment_at_a_time(self):
         # the propagated segment's two records are freed before its four
         # waves are compared, and no other segment holds a full-length array

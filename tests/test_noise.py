@@ -18,17 +18,16 @@ from scipy.optimize import brentq
 from kljnsim.noise import (
     BOLTZMANN,
     MAX_GRID_STEP,
-    NoiseRecord,
     StartPoint,
     _grids_and_bounds,
     _pointwise,
     _possible_intervals,
+    draw_spectrum,
     find_start_point,
     grid_step,
     johnson_rms,
     slope_rms,
     synthesize_record,
-    synthesize_window,
 )
 
 T, B = 7e15, 5e3
@@ -39,12 +38,16 @@ STEP = grid_step(N, DT, B)
 
 
 class FullRecord(NamedTuple):
-    """Every sample of a record, as the reference search reads it; a step-1
-    NoiseRecord serves as well."""
+    """Every sample of a record, as the reference search reads it."""
 
     samples: np.ndarray
     dt: float
     target_rms: float
+
+
+def full_record(spectrum):
+    """The FullRecord of every sample of the record of ``spectrum``."""
+    return FullRecord(synthesize_record(spectrum).samples, spectrum.dt, spectrum.sigma)
 
 
 # Samples the reference search scans at a time before it looks for a match.
@@ -156,20 +159,25 @@ class TestSlopeRms:
 
 
 @pytest.fixture(scope="module")
-def record():
-    return synthesize_record(np.random.SeedSequence(7), N, DT, B, 1.9661681515068847)
+def spectrum():
+    return draw_spectrum(np.random.SeedSequence(7), N, DT, B, 1.9661681515068847)
 
 
 @pytest.fixture(scope="module")
-def coarse():
+def record(spectrum):
+    return full_record(spectrum)
+
+
+@pytest.fixture(scope="module")
+def coarse(spectrum):
     """``record`` on the search grid."""
-    return synthesize_record(np.random.SeedSequence(7), N, DT, B, 1.9661681515068847, STEP)
+    return synthesize_record(spectrum, STEP)
 
 
 class TestSynthesizeRecord:
     def test_deterministic_given_seed(self):
-        a = synthesize_record(42, 2**15, DT, B, 1.0)
-        b = synthesize_record(42, 2**15, DT, B, 1.0)
+        a = synthesize_record(draw_spectrum(42, 2**15, DT, B, 1.0))
+        b = synthesize_record(draw_spectrum(42, 2**15, DT, B, 1.0))
         assert np.array_equal(a.samples, b.samples)
 
     def test_sample_rms_matches_target(self, record):
@@ -189,7 +197,8 @@ class TestSynthesizeRecord:
         # over independent records to push its standard error well below 0.1
         estimates = []
         for seed in range(8):
-            x = synthesize_record(np.random.SeedSequence(seed), N, DT, B, 1.0).samples
+            spectrum = draw_spectrum(np.random.SeedSequence(seed), N, DT, B, 1.0)
+            x = synthesize_record(spectrum).samples
             estimates.append(np.mean(x**4) / np.mean(x**2) ** 2 - 3.0)
         mean = float(np.mean(estimates))
         se = float(np.std(estimates, ddof=1)) / math.sqrt(len(estimates))
@@ -226,31 +235,32 @@ class TestSynthesizeRecord:
             raw = np.fft.irfft(spectrum, n)
             parseval = 2.0 * np.sum(np.abs(spectrum) ** 2) / n**2
             assert np.mean(raw * raw) == pytest.approx(parseval, rel=1e-12)
-            rec = synthesize_record(np.random.SeedSequence(seed), n, DT, B, sigma)
+            rec = synthesize_record(draw_spectrum(np.random.SeedSequence(seed), n, DT, B, sigma))
             expected = raw * (sigma / math.sqrt(parseval))
             assert np.max(np.abs(rec.samples - expected)) <= 1e-12 * sigma
 
     def test_rejects_band_at_or_above_nyquist(self):
         with pytest.raises(ValueError):
-            synthesize_record(0, 2**15, DT, 0.5 / DT, 1.0)
+            draw_spectrum(0, 2**15, DT, 0.5 / DT, 1.0)
 
     def test_rejects_too_few_inband_bins(self):
         with pytest.raises(ValueError):
-            synthesize_record(0, 2**10, DT, B, 1.0)  # n*dt*B ~ 0.5
+            draw_spectrum(0, 2**10, DT, B, 1.0)  # n*dt*B ~ 0.5
 
     def test_rejects_tiny_record(self):
         with pytest.raises(ValueError):
-            synthesize_record(0, 1, DT, B, 1.0)
+            draw_spectrum(0, 1, DT, B, 1.0)
 
     @pytest.mark.parametrize("n", [2**16, 3 * 2**13, 2**20])
     def test_grid_is_every_step_th_sample(self, n):
         step = grid_step(n, DT, B)
         assert step == MAX_GRID_STEP
         for seed in range(5):
-            full = synthesize_record(np.random.SeedSequence(seed), n, DT, B, 2.5)
-            grid = synthesize_record(np.random.SeedSequence(seed), n, DT, B, 2.5, step)
+            full = synthesize_record(draw_spectrum(np.random.SeedSequence(seed), n, DT, B, 2.5))
+            grid = synthesize_record(draw_spectrum(np.random.SeedSequence(seed), n, DT, B, 2.5),
+                                     step)
             assert (grid.step, len(grid.samples)) == (step, n // step)
-            assert np.array_equal(grid.coeffs, full.coeffs)
+            assert np.array_equal(grid.spectrum.coeffs, full.spectrum.coeffs)
             assert np.max(np.abs(grid.samples - full.samples[::step])) <= 1e-12 * 2.5
 
     @pytest.mark.parametrize("step", [0, 3, 2**12, 2.0, 1.0])
@@ -259,7 +269,7 @@ class TestSynthesizeRecord:
         # record, one of 2^12 leaves 16 grid points for them, and a step
         # must be an integer, even where its value would do
         with pytest.raises(ValueError, match=f"step {step} does not divide"):
-            synthesize_record(0, 2**16, DT, B, 1.0, step)
+            synthesize_record(draw_spectrum(0, 2**16, DT, B, 1.0), step)
 
 
 class TestGridStep:
@@ -274,13 +284,13 @@ class TestGridStep:
     def test_largest_power_of_two_that_holds_the_band(self, n, dt, bandwidth, step):
         assert grid_step(n, dt, bandwidth) == step
 
-    def test_rejects_what_synthesize_record_rejects(self):
+    def test_rejects_what_draw_spectrum_rejects(self):
         with pytest.raises(ValueError, match="too short"):
             grid_step(2**10, DT, B)
 
 
-class TestSynthesizeWindow:
-    """synthesize_window against the slice of the full inverse-FFT record."""
+class TestSpectrumWindow:
+    """Spectrum.window against the slice of the full inverse-FFT record."""
 
     N_STEPS = 400
 
@@ -291,12 +301,11 @@ class TestSynthesizeWindow:
         worst = 0.0
         for seed in range(50):
             sigma = sigmas[seed % 2]
-            record = synthesize_record(np.random.SeedSequence(seed), n, DT, B, sigma).samples
+            spectrum = draw_spectrum(np.random.SeedSequence(seed), n, DT, B, sigma)
+            record = synthesize_record(spectrum).samples
             random_start = int(np.random.default_rng(seed).integers(1, n - count))
             for start in (1, random_start, n - 1 - self.N_STEPS):
-                window = synthesize_window(
-                    np.random.SeedSequence(seed), n, DT, B, sigma, start - 1, count
-                )
+                window = spectrum.window(start - 1, count)
                 assert window.shape == (count,)
                 deviation = np.max(np.abs(window - record[start - 1 : start - 1 + count]))
                 worst = max(worst, deviation / sigma)
@@ -306,31 +315,31 @@ class TestSynthesizeWindow:
         # 2^16 samples hold 32 in-band bins, so 2100 samples would cost more
         # than the inverse FFT of the whole record
         n, sigma = 2**16, 1.9661681515068847
-        record = synthesize_record(np.random.SeedSequence(5), n, DT, B, sigma).samples
+        spectrum = draw_spectrum(np.random.SeedSequence(5), n, DT, B, sigma)
+        record = synthesize_record(spectrum).samples
         for start, count in ((1, n - 2), (700, 2100)):
-            window = synthesize_window(np.random.SeedSequence(5), n, DT, B, sigma, start, count)
+            window = spectrum.window(start, count)
             assert window.tobytes() == record[start : start + count].tobytes()
-
-    @pytest.mark.parametrize("args", [
-        (0, 2**15, DT, 0.5 / DT, 1.0),  # band at Nyquist
-        (0, 2**10, DT, B, 1.0),  # too few in-band bins
-        (0, 1, DT, B, 1.0),  # tiny record
-        (0, 2**15, -DT, B, 1.0),
-        (0, 2**15, DT, B, -1.0),
-        (0, 2**15, DT, B, 0.0),
-        (0, 2**15, DT, B, math.inf),
-    ])
-    def test_rejects_what_synthesize_record_rejects(self, args):
-        with pytest.raises(ValueError) as record_error:
-            synthesize_record(*args)
-        with pytest.raises(ValueError) as window_error:
-            synthesize_window(*args, 0, 2)
-        assert str(window_error.value) == str(record_error.value)
 
     @pytest.mark.parametrize("start, count", [(-1, 10), (0, 0), (2**15 - 9, 10)])
     def test_rejects_window_outside_record(self, start, count):
         with pytest.raises(ValueError, match="not inside"):
-            synthesize_window(0, 2**15, DT, B, 1.0, start, count)
+            draw_spectrum(0, 2**15, DT, B, 1.0).window(start, count)
+
+
+@pytest.mark.parametrize("args", [
+    (0, 2**15, DT, 0.5 / DT, 1.0),  # band at Nyquist
+    (0, 2**10, DT, B, 1.0),  # too few in-band bins
+    (0, 1, DT, B, 1.0),  # tiny record
+    (0, 2**15, -DT, B, 1.0),
+    (0, 2**15, DT, B, -1.0),
+    (0, 2**15, DT, B, 0.0),
+    (0, 2**15, DT, B, math.inf),
+])
+def test_draw_spectrum_rejects(args):
+    # a record is made only from a spectrum that passed these checks
+    with pytest.raises(ValueError):
+        draw_spectrum(*args)
 
 
 class TestEstimateSlope:
@@ -365,8 +374,8 @@ class TestEstimateSlope:
         predicted = slope_rms(B, sigma)
         ratios = []
         for seed in range(6):
-            rec = synthesize_record(np.random.SeedSequence(seed), 2**19, DT, B, sigma)
-            s = rec.samples
+            s = synthesize_record(draw_spectrum(np.random.SeedSequence(seed), 2**19, DT, B,
+                                                sigma)).samples
             slopes = (s[2:] - s[:-2]) / (2 * DT)
             ratios.append(math.sqrt(np.mean(slopes**2)) / predicted)
         assert np.mean(ratios) == pytest.approx(1.0, abs=0.02)
@@ -386,7 +395,7 @@ class TestFindStartPoint:
         assert math.isnan(start.achieved_slope_tol)
 
     def test_deterministic_and_earliest(self, coarse):
-        target = slope_rms(B, coarse.target_rms)
+        target = slope_rms(B, coarse.spectrum.sigma)
         a = find_start_point(coarse, 0.0, 1e-3, target, 0.05, N - 2)
         b = find_start_point(coarse, 0.0, 1e-3, target, 0.05, N - 2)
         assert a == b
@@ -412,7 +421,7 @@ class TestFindStartPoint:
 
     def test_not_found_returns_none(self, coarse):
         assert find_start_point(
-            coarse, 100.0 * coarse.target_rms, 1e-6, None, math.inf, N - 2
+            coarse, 100.0 * coarse.spectrum.sigma, 1e-6, None, math.inf, N - 2
         ) is None
 
     def test_max_index_respected(self, coarse):
@@ -434,8 +443,8 @@ class TestFindStartPoint:
         rate = 2.0 * B / math.sqrt(3.0)
         counts = []
         for seed in (11, 12, 13, 14, 15):
-            rec = synthesize_record(np.random.SeedSequence(seed), 2**19, DT, B, 1.0)
-            x = rec.samples
+            x = synthesize_record(draw_spectrum(np.random.SeedSequence(seed), 2**19, DT, B,
+                                                1.0)).samples
             counts.append(np.sum(np.signbit(x[:-1]) != np.signbit(x[1:])))
         expected = rate * 2**19 * DT
         assert np.mean(counts) == pytest.approx(expected, rel=0.1)
@@ -511,8 +520,8 @@ def test_grid_search_matches_reference_search():
     for seed in range(50):
         for high in (False, True):
             sigma = johnson_rms(T, R_H if high else R_L, B)
-            full = synthesize_record(np.random.SeedSequence(seed), N, DT, B, sigma)
-            grid = synthesize_record(np.random.SeedSequence(seed), N, DT, B, sigma, STEP)
+            spectrum = draw_spectrum(np.random.SeedSequence(seed), N, DT, B, sigma)
+            full, grid = full_record(spectrum), synthesize_record(spectrum, STEP)
             for level in (0, 3, 9):
                 for args in _target_shapes(high, level).values():
                     want = _compare_searches(full, grid, args, max_index, mismatches)
@@ -538,9 +547,8 @@ def test_grid_search_matches_reference_at_other_steps(n):
     for seed in range(6):
         high = seed % 2 == 1
         sigma = johnson_rms(T, R_H if high else R_L, B)
-        full = synthesize_record(np.random.SeedSequence(seed), n, DT, B, sigma)
-        grid = synthesize_record(np.random.SeedSequence(seed), n, DT, B, sigma,
-                                 grid_step(n, DT, B))
+        spectrum = draw_spectrum(np.random.SeedSequence(seed), n, DT, B, sigma)
+        full, grid = full_record(spectrum), synthesize_record(spectrum, grid_step(n, DT, B))
         for level in (0, 3, 9):
             for args in _target_shapes(high, level).values():
                 _compare_searches(full, grid, args, n - 1 - 400, mismatches)
@@ -578,9 +586,9 @@ def test_bracket_keeps_every_accepted_sample(n, steps):
     for seed in range(50):
         for high in (False, True):
             sigma = johnson_rms(T, R_H if high else R_L, B)
-            full = synthesize_record(np.random.SeedSequence(seed), n, DT, B, sigma)
-            grids = [synthesize_record(np.random.SeedSequence(seed), n, DT, B, sigma, step)
-                     for step in steps]
+            spectrum = draw_spectrum(np.random.SeedSequence(seed), n, DT, B, sigma)
+            full = full_record(spectrum)
+            grids = [synthesize_record(spectrum, step) for step in steps]
             shapes = [args for level in (0, 3, 9) for args in _target_shapes(high, level).values()]
             magnitude = np.abs(full.samples[1 : max_index + 1])
             dists = {value: np.abs(magnitude - abs(value)) for value in {a[0] for a in shapes}}
@@ -608,8 +616,9 @@ def test_pointwise_bounds_enclose_every_sample(step):
     for seed in range(20):
         for high in (False, True):
             sigma = johnson_rms(T, R_H if high else R_L, B)
-            full = synthesize_record(np.random.SeedSequence(seed), n, DT, B, sigma).samples
-            grid = synthesize_record(np.random.SeedSequence(seed), n, DT, B, sigma, step)
+            spectrum = draw_spectrum(np.random.SeedSequence(seed), n, DT, B, sigma)
+            full = synthesize_record(spectrum).samples
+            grid = synthesize_record(spectrum, step)
             v, s, v_err, s_err = _pointwise(*_grids_and_bounds(grid, 3), np.arange(n // step),
                                             step)
             central = (np.roll(full, -1) - np.roll(full, 1)) / 2.0
@@ -673,14 +682,3 @@ def test_block_scan_edges_match_two_pass_reference(hits, max_index, want):
 def test_boltzmann_constant_is_exact_si():
     assert BOLTZMANN == 1.380649e-23
 
-
-def test_record_validation():
-    coeffs = np.ones(10, dtype=complex)
-    with pytest.raises(ValueError):
-        NoiseRecord(np.zeros(1), DT, 1.0, coeffs)
-    with pytest.raises(ValueError):
-        NoiseRecord(np.zeros(16), -DT, 1.0, coeffs)
-    with pytest.raises(ValueError):
-        NoiseRecord(np.zeros(16), DT, -1.0, coeffs)
-    with pytest.raises(ValueError):
-        NoiseRecord(np.zeros(16), DT, 0.0, coeffs)

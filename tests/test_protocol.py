@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from test_noise import estimate_slope, reference_search
+from test_noise import estimate_slope, full_record, reference_search
 
 from kljnsim import noise, protocol
 from kljnsim.line import run_transient
@@ -25,7 +25,7 @@ from kljnsim.protocol import (
     prepare_generators,
     slope_ratio,
 )
-from kljnsim.noise import johnson_rms, slope_rms, synthesize_record, synthesize_window
+from kljnsim.noise import draw_spectrum, johnson_rms, slope_rms, synthesize_record
 
 CFG = PhysicalConfig()
 # short records keep the search-based scenarios fast in unit tests; 2^18 still
@@ -34,8 +34,9 @@ FAST = SearchParams(record_len=2**18)
 
 
 def _prepare_with_records(monkeypatch, *args):
-    """prepare_generators(*args), each drive paired with the arguments of
-    the synthesize_record call that drew the record it plays.
+    """prepare_generators(*args), each drive paired with the arguments, its
+    spectrum and grid step, of the synthesize_record call that made the
+    record it plays.
 
     The parties synthesize in turn, A then B, so each party's record is the
     last one synthesized within its ``attempts``.
@@ -62,8 +63,8 @@ def _reference_starts(scenario, seed, n_steps, params):
             level = (attempt - 1) // MAX_REGEN
             slope_tol = params.slope_tol * 2**level
             value_tol = params.value_tol * 2**level if target_value != 0.0 else params.value_tol
-            record = synthesize_record(party_seed.spawn(1)[0], n, CFG.dt, CFG.bandwidth,
-                                       CFG.sigma(r))
+            record = full_record(draw_spectrum(party_seed.spawn(1)[0], n, CFG.dt, CFG.bandwidth,
+                                               CFG.sigma(r)))
             start = reference_search(record, target_value, value_tol, target_slope, slope_tol,
                                      n - 1 - n_steps)
             if start is not None:
@@ -79,7 +80,7 @@ def _random_start_records(seed, n_steps, params=FAST):
     with the full record its seed path gives.
 
     A random start synthesizes only the samples it plays, so the record is
-    rebuilt here: party p's record is synthesize_record() of
+    rebuilt here: party p's record is that of draw_spectrum() of
     SeedSequence(seed).spawn(2)[p].spawn(1)[0].  Each drive must play its
     record's slice from the start point, and report the record's value and
     central-difference slope there, within 1e-12 of the record RMS (per dt
@@ -89,8 +90,8 @@ def _random_start_records(seed, n_steps, params=FAST):
     pairs = []
     parties = zip(drives, np.random.SeedSequence(seed).spawn(2), BitState.HL.resistors(CFG))
     for drive, party_seed, resistance in parties:
-        record = synthesize_record(party_seed.spawn(1)[0], params.record_len, CFG.dt,
-                                   CFG.bandwidth, CFG.sigma(resistance))
+        record = full_record(draw_spectrum(party_seed.spawn(1)[0], params.record_len, CFG.dt,
+                                           CFG.bandwidth, CFG.sigma(resistance)))
         i, tol = drive.start.index, 1e-12 * record.target_rms
         assert np.max(np.abs(drive.samples - record.samples[i : i + n_steps])) <= tol
         assert abs(drive.start.value - record.samples[i]) <= tol
@@ -276,14 +277,15 @@ class TestPrepareGenerators:
             monkeypatch, ScenarioKind.ZERO_START_SLOPE_MATCHED, BitState.HL, CFG, 27, n, FAST
         )
         assert {drive.start.negate for drive, _ in pairs} == {True, False}
-        for drive, (seed, n_rec, dt, bandwidth, sigma, step) in pairs:
+        for drive, (spectrum, step) in pairs:
             assert step == 128
             i, sign = drive.start.index, -1.0 if drive.start.negate else 1.0
-            # the played samples are synthesize_window's, bit for bit ...
-            window = synthesize_window(seed, n_rec, dt, bandwidth, sigma, i, n)
+            sigma = spectrum.sigma
+            # the played samples are the spectrum's window, bit for bit ...
+            window = spectrum.window(i, n)
             assert np.array_equal(drive.samples, sign * window)
             # ... and the full record's within rounding
-            played = synthesize_record(seed, n_rec, dt, bandwidth, sigma).samples[i : i + n]
+            played = synthesize_record(spectrum).samples[i : i + n]
             assert np.max(np.abs(drive.samples - sign * played)) <= 1e-12 * sigma
             assert abs(drive.start.value - drive.samples[0]) <= 1e-12 * sigma
 
@@ -345,6 +347,23 @@ class TestPrepareGenerators:
             seed = np.random.SeedSequence(1, spawn_key=(int(scenario), _PHASE_EVAL, trial))
             prepare_generators(scenario, BitState.HL, CFG, seed.spawn(3)[0], 400)
         assert len(calls) / 60 <= most
+
+    @pytest.mark.parametrize("scenario", list(ScenarioKind))
+    def test_one_draw_per_record(self, monkeypatch, scenario):
+        # The trials of test_direct_sums_per_trial.  A random start draws
+        # each party's record once, and a searched start each record it
+        # tries: its search grid and its played samples share the draw.
+        calls = []
+        draw = protocol.draw_spectrum
+        monkeypatch.setattr(protocol, "draw_spectrum", lambda *a: calls.append(1) or draw(*a))
+        attempts = 0
+        for trial in range(60):
+            seed = np.random.SeedSequence(1, spawn_key=(int(scenario), _PHASE_EVAL, trial))
+            drives = prepare_generators(scenario, BitState.HL, CFG, seed.spawn(3)[0], 400)
+            attempts += sum(d.attempts for d in drives)
+        assert len(calls) == attempts
+        if scenario == ScenarioKind.NO_DEFENSE:
+            assert len(calls) == 2 * 60
 
     def test_rejects_records_too_short_for_the_transient(self):
         n = 2**16
