@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kljnsim.line import (
+    _PASS_BLOCKS,
     TrialWaveforms,
     _propagate,
     ideal_line_steady_state,
@@ -270,6 +271,36 @@ class TestRunTransient:
         for k in range(n):
             ea, eb = line.step(u_a[k], R_H, u_b[k], R_L)
             assert (ea.v, ea.i, eb.v, eb.i) == (v_a[k], i_a[k], v_b[k], i_b[k])
+
+    @pytest.mark.parametrize("n, d", [
+        ((2 * _PASS_BLOCKS + 3) * D + 37, D),  # three passes, the last odd and partial
+        (37, D),  # shorter than one fly time
+        ((2 * _PASS_BLOCKS + 3) * 37 + 11, 37),
+        (2 * _PASS_BLOCKS + 3, 1),
+    ])
+    def test_passes_equal_scalar_stepping_bitwise(self, n, d):
+        rng = np.random.default_rng(44)
+        u_a, u_b = rng.normal(size=n), rng.normal(size=n)
+        v_a, v_b, i_a, i_b = _propagate(u_a, u_b, R_H, R_L, Z0, d)
+        line = TransmissionLine(Z0, d * DT, DT)
+        assert line.delay_steps == d
+        for k in range(n):
+            ea, eb = line.step(u_a[k], R_H, u_b[k], R_L)
+            assert (ea.v, ea.i, eb.v, eb.i) == (v_a[k], i_a[k], v_b[k], i_b[k])
+
+    def test_scratch_does_not_grow_with_length(self):
+        # peak memory beyond the four outputs is the same at 2^14 and 2^17 samples
+        extra = []
+        for n in (2**14, 2**17):
+            rng = np.random.default_rng(48)
+            u_a, u_b = rng.normal(size=n), rng.normal(size=n)
+            tracemalloc.start()
+            try:
+                _propagate(u_a, u_b, R_H, R_L, Z0, D)
+                extra.append(tracemalloc.get_traced_memory()[1] - 4 * n * 8)
+            finally:
+                tracemalloc.stop()
+        assert abs(extra[1] - extra[0]) < 2 * D * 8  # less than one row of both ends
 
     def test_keeps_one_block_of_waves_in_flight(self):
         # peak memory: the four outputs plus less than one more full-length array
