@@ -48,7 +48,6 @@ __all__ = [
     "ExperimentSummary",
     "SteadyStateReport",
     "run_experiment",
-    "standard_error",
     "trial_waveforms",
     "validate_steady_state",
 ]
@@ -75,15 +74,6 @@ SETTLE_TIMES = 30.0
 # bounce diagram, and the limit of its worst relative error.
 ENGINE_FLY_TIMES = 12
 ENGINE_TOLERANCE = 1e-9
-
-
-def standard_error(p: float, n: int) -> float:
-    """Binomial standard error sqrt(p*(1-p)/n) of an estimated probability."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must be in [0, 1], got {p}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return math.sqrt(p * (1.0 - p) / n)
 
 
 def _trial(
@@ -306,9 +296,9 @@ def run_experiment(
         scenario=scenario,
         taus=np.array([m * config.fly_time for m in tau_multipliers]),
         p_ev=p_ev,
-        se_v=np.array([standard_error(p, n_trials) for p in p_ev]),
+        se_v=np.sqrt(p_ev * (1.0 - p_ev) / n_trials),
         p_ei=p_ei,
-        se_i=np.array([standard_error(p, n_trials) for p in p_ei]),
+        se_i=np.sqrt(p_ei * (1.0 - p_ei) / n_trials),
         n_trials=n_trials,
         loosened_fraction=float(np.mean(loosened[n_cal:])),
         signs=signs,
@@ -417,9 +407,12 @@ def _steady_segments(
     discard: int,
     chunks_per_seg: int,
     seed: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """Per-chunk means of v^2, i^2 (end-averaged) and v*i at A over each
-    segment's settled wire series, and the settled-engine error of segment 0.
+) -> tuple[np.ndarray, float]:
+    """Per-chunk means over each segment's settled wire series, as one
+    (3, n_seg * chunks_per_seg) table with segment k's chunks in columns
+    k * chunks_per_seg onward, and the settled-engine error of segment 0.
+    The table's rows are the end-averaged v^2, the end-averaged i^2, and
+    v*i at A.
 
     A segment's drives are the n-periodic records of the spectra its seeds
     draw, so its settled series are exactly ``periodic_steady_state`` of
@@ -431,8 +424,7 @@ def _steady_segments(
     r_a, r_b = state.resistors(config)
     step = grid_step(SEGMENT_SAMPLES, config.dt, config.bandwidth)
     count = SEGMENT_SAMPLES // step
-    chunk = count // chunks_per_seg
-    v2, i2, p = [], [], []
+    table = np.empty((3, n_seg, chunks_per_seg))
     state_key = 0 if state == BitState.HL else 1
     for k in range(n_seg):
         seeds = np.random.SeedSequence(seed, spawn_key=(90, state_key, k)).spawn(2)
@@ -440,15 +432,15 @@ def _steady_segments(
                                config.sigma(r)) for drive_seed, r in zip(seeds, (r_a, r_b))]
         spectra = periodic_steady_state(r_a, r_b, config.z0, config.dt_divisor,
                                         SEGMENT_SAMPLES, *(d.scale * d.coeffs for d in drawn))
-        v_a, v_b, i_a, i_b = (_on_grid(z, count, 1.0) for z in spectra)
-        for c in range(chunks_per_seg):
-            sl = slice(c * chunk, (c + 1) * chunk)
-            v2.append(0.5 * (np.mean(v_a[sl] ** 2) + np.mean(v_b[sl] ** 2)))
-            i2.append(0.5 * (np.mean(i_a[sl] ** 2) + np.mean(i_b[sl] ** 2)))
-            p.append(np.mean(v_a[sl] * i_a[sl]))
+        # One row per chunk: every mean runs along a contiguous row.
+        v_a, v_b, i_a, i_b = (_on_grid(z, count, 1.0).reshape(chunks_per_seg, -1)
+                              for z in spectra)
+        table[0, k] = 0.5 * (np.mean(v_a**2, axis=1) + np.mean(v_b**2, axis=1))
+        table[1, k] = 0.5 * (np.mean(i_a**2, axis=1) + np.mean(i_b**2, axis=1))
+        table[2, k] = np.mean(v_a * i_a, axis=1)
         if k == 0:
             error = _settled_engine_error(config, r_a, r_b, drawn, spectra, discard, step)
-    return np.array(v2), np.array(i2), np.array(p), error
+    return table.reshape(3, -1), error
 
 
 def _settled_engine_error(
@@ -584,29 +576,27 @@ def validate_steady_state(config: PhysicalConfig, duration: float, seed: int) ->
     squares, within LEVEL_TOLERANCE, against the ideal-line steady state of
     Johnson generators evaluated on the in-band bins of one segment, and the
     HL-LH difference and the mean power flow against zero, within
-    SIGMA_LIMIT standard errors.  A duration that plans more than
-    MAX_SEGMENTS segments per state, a config whose references overflow or
-    underflow, or a line that settles in more than a quarter segment is
-    rejected before any check starts.
+    SIGMA_LIMIT standard errors.  Each state's segments give a table of
+    per-chunk means (``_steady_segments``; four chunks per segment when
+    fewer than 8 segments are planned, else one); HL's three rows and LH's
+    v^2 and i^2 rows are reduced in one pass, each to its mean and the
+    standard error of that mean over the chunks.  A duration that plans
+    more than MAX_SEGMENTS segments per state, a config whose references
+    overflow or underflow, or a line that settles in more than a quarter
+    segment is rejected before any check starts.
     """
     n_seg, discard, v2_theory, i2_theory = _plan_steady_state(config, duration)
     engine_error = _engine_step_error(config)
     seg_duration = SEGMENT_SAMPLES * config.dt
     chunks_per_seg = 4 if n_seg < 8 else 1
 
-    v2_hl, i2_hl, p_hl, error_hl = _steady_segments(config, BitState.HL, n_seg, discard,
-                                                    chunks_per_seg, seed)
-    v2_lh, i2_lh, _, error_lh = _steady_segments(config, BitState.LH, n_seg, discard,
-                                                 chunks_per_seg, seed)
-
-    def mean_se(x: np.ndarray) -> tuple[float, float]:
-        return float(np.mean(x)), float(np.std(x, ddof=1) / math.sqrt(len(x)))
-
-    v2, v2_se = mean_se(v2_hl)
-    i2, i2_se = mean_se(i2_hl)
-    power, power_se = mean_se(p_hl)
-    v2l, v2l_se = mean_se(v2_lh)
-    i2l, i2l_se = mean_se(i2_lh)
+    hl, error_hl = _steady_segments(config, BitState.HL, n_seg, discard, chunks_per_seg, seed)
+    lh, error_lh = _steady_segments(config, BitState.LH, n_seg, discard, chunks_per_seg, seed)
+    # Rows: HL's v^2, i^2 and v*i, then LH's v^2 and i^2.
+    table = np.vstack((hl, lh[:2]))
+    v2, i2, power, v2l, i2l = np.mean(table, axis=1).tolist()
+    se = np.std(table, ddof=1, axis=1) / math.sqrt(table.shape[1])
+    v2_se, i2_se, power_se, v2l_se, i2l_se = se.tolist()
     return SteadyStateReport(
         engine_error=engine_error,
         periodic_error=float(np.max([error_hl, error_lh])),

@@ -456,6 +456,8 @@ def find_start_point(
     step, spectrum = record.step, record.spectrum
     dt, rms = spectrum.dt, spectrum.sigma
     hi = min(max_index, spectrum.n - 2)
+    if hi < 1:
+        return None
     window = value_tol_rel * rms
     for first in _possible_intervals(record, hi, target_value, window, target_slope,
                                      slope_tol_rel).tolist():

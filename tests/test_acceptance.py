@@ -396,6 +396,11 @@ def test_default_tables_are_pinned(experiments):
     })
 
 
+def test_default_validation_is_pinned(steady_report):
+    # the validation.txt `kljn-sim validate` writes at the defaults, byte for byte
+    assert_digests({"defaults/validation.txt": (steady_report.render() + "\n").encode()})
+
+
 def test_scenario4_residual_leak_at_n_cal_2000():
     # the README's n_cal = 2000 row of "Scenario 4's residual leak": a long
     # rehearsal finds the sign from the second fly time on

@@ -9,7 +9,8 @@ numpy's FFT and BLAS builds, as ``test_montecarlo``'s pinned rows do.
 
 The default configuration's four CSVs take 4800 trials to make, so the
 acceptance module checks them against DIGESTS on the tables its experiments
-fixture computes anyway.
+fixture computes anyway, and the default validation.txt on the report its
+steady_report fixture computes.
 
 A change that alters the arithmetic on purpose updates DIGESTS in the same
 change.  A mismatch prints the new digest of each changed file as a DIGESTS
@@ -48,6 +49,9 @@ DIGESTS = {
     "defaults/scenario_2.csv": "806bfead803e5c267c934f571fbd91b35c8009388fa27366943655c0eeb400d1",
     "defaults/scenario_3.csv": "5b7d879260c9118f6e980927b62a529e9cbd785a0246338355f8a39f8182ee73",
     "defaults/scenario_4.csv": "de925b61dba8bb9d2a35b035ce6fe01d48d453e6046fd44e6c44408bdd427476",
+    # The default 6.4 s validate report (31 segments of one chunk each),
+    # checked by the acceptance module on its steady_report fixture.
+    "defaults/validation.txt": "2f323cf841f12433f3bb9f73a34f862439ee76dc30c716020b04a5c7b922b484",
 }
 
 REDUCED = "n_cal = 50\nn_trials = 30\nrecord_len = 65536\n"

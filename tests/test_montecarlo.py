@@ -13,11 +13,10 @@ from kljnsim import montecarlo
 from kljnsim.line import lattice_step_response, run_transient
 from kljnsim.montecarlo import (
     run_experiment,
-    standard_error,
     trial_waveforms,
     validate_steady_state,
 )
-from kljnsim.protocol import PhysicalConfig, ScenarioKind, SearchParams
+from kljnsim.protocol import BitState, PhysicalConfig, ScenarioKind, SearchParams
 
 CFG = PhysicalConfig()
 FAST = SearchParams(record_len=2**18)
@@ -55,21 +54,6 @@ def _broken_engine(sample: int, delta: float = 1e-6):
         wf.v_b[sample] += delta
         return wf
     return broken
-
-
-class TestStandardError:
-    def test_half(self):
-        assert standard_error(0.5, 1000) == pytest.approx(0.0158, abs=5e-5)
-
-    def test_degenerate_endpoints(self):
-        assert standard_error(0.0, 50) == 0.0
-        assert standard_error(1.0, 50) == 0.0
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            standard_error(1.5, 10)
-        with pytest.raises(ValueError):
-            standard_error(0.5, 0)
 
 
 class TestRunExperiment:
@@ -338,6 +322,21 @@ class TestValidateSteadyState:
             tracemalloc.stop()
         assert report.n_segments == 2
         assert peak < 7 * seg_bytes, f"peak {peak / seg_bytes:.2f} segment arrays"
+
+    @pytest.mark.parametrize("state", list(BitState), ids=lambda s: s.value)
+    def test_segment_table_is_segment_major(self, state):
+        # each segment's four chunk means average to its one-chunk mean, so
+        # columns 4k..4k+3 belong to segment k; the rows are v^2, i^2, v*i
+        n_seg, discard, v2, i2 = montecarlo._plan_steady_state(
+            CFG, 2 * montecarlo.SEGMENT_SAMPLES * CFG.dt)
+        four, error_four = montecarlo._steady_segments(CFG, state, n_seg, discard, 4, 7)
+        one, error_one = montecarlo._steady_segments(CFG, state, n_seg, discard, 1, 7)
+        assert n_seg == 2 and four.shape == (3, 8) and one.shape == (3, 2)
+        assert error_four == error_one
+        np.testing.assert_allclose(four.reshape(3, n_seg, 4).mean(axis=2), one, rtol=1e-12)
+        np.testing.assert_allclose(one[0], v2, rtol=0.25)
+        np.testing.assert_allclose(one[1], i2, rtol=0.25)
+        assert np.all(np.abs(one[2]) < 0.1 * np.sqrt(one[0] * one[1]))
 
     def test_report_structure_on_minimal_run(self):
         report = validate_steady_state(CFG, 1000.0 / CFG.bandwidth, 1)

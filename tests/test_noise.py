@@ -416,7 +416,9 @@ class TestFindStartPoint:
         free = find_start_point(coarse, 0.0, 1e-3, None, math.inf, N - 2)
         capped = find_start_point(coarse, 0.0, 1e-3, None, math.inf, max_index=free.index - 1)
         assert capped is None or capped.index < free.index
-        assert find_start_point(coarse, 0.0, 1e-3, None, math.inf, max_index=0) is None
+        # an empty range [1, max_index] holds no match, however far below 1
+        for max_index in (0, -1, -(STEP + 1), -10**6):
+            assert find_start_point(coarse, 0.0, 1e-3, None, math.inf, max_index) is None
 
     def test_rejects_bad_tolerances(self, coarse):
         with pytest.raises(ValueError):
