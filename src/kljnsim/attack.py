@@ -52,8 +52,8 @@ class DecisionSign:
     """Calibrated decision orientation for one observation window.
 
     sign_u / sign_i are +1 or -1 when the labeled-run calibration was
-    conclusive and 0 when uninformative (|mean| below two standard errors),
-    which forces a fair-coin guess downstream.
+    conclusive and 0 when uninformative (|mean| below two standard errors,
+    or a mean of zero or NaN), which forces a fair-coin guess downstream.
     """
 
     sign_u: int
@@ -61,7 +61,9 @@ class DecisionSign:
 
 
 def signs_from_calibration(rho_u: np.ndarray, rho_i: np.ndarray) -> DecisionSign:
-    """Reduce labeled-HL calibration statistics to a DecisionSign."""
+    """Reduce labeled-HL calibration statistics to a DecisionSign: each
+    sign is that of the mean when |mean| is at least two standard errors,
+    else 0, so a zero or NaN mean names no sign."""
     out = []
     for arr in (np.asarray(rho_u, dtype=float), np.asarray(rho_i, dtype=float)):
         if len(arr) < 2:
@@ -72,7 +74,7 @@ def signs_from_calibration(rho_u: np.ndarray, rho_i: np.ndarray) -> DecisionSign
         arr = np.ldexp(arr, -math.frexp(float(np.max(np.abs(arr))))[1])
         mean = float(np.mean(arr))
         se = float(np.std(arr, ddof=1)) / math.sqrt(len(arr))
-        out.append(0 if abs(mean) < 2.0 * se else (1 if mean > 0 else -1))
+        out.append(int(np.sign(mean)) if abs(mean) >= 2.0 * se else 0)
     return DecisionSign(out[0], out[1])
 
 

@@ -518,9 +518,11 @@ def _plan_steady_state(config: PhysicalConfig, duration: float) -> tuple[int, in
     min_duration = 1000.0 / config.bandwidth
     if duration < min_duration:
         raise ValueError(f"duration {duration} s is below the minimum {min_duration} s (1000/B)")
+    # A segment must hold the band first, so that the cap below suggests
+    # only durations that hold it too.
+    freqs = np.arange(1, in_band_bins(SEGMENT_SAMPLES, config.dt, config.bandwidth) + 1)
     seg_duration = SEGMENT_SAMPLES * config.dt
-    # A time step that underflows to 0 plans infinitely many segments.
-    planned = duration / seg_duration if seg_duration else math.inf
+    planned = duration / seg_duration
     if planned > MAX_SEGMENTS + 0.5:  # round() takes 1000.5 to 1000
         count = round(planned) if planned < 1e15 else f"{planned:.3g}"
         raise ValueError(
@@ -529,7 +531,6 @@ def _plan_steady_state(config: PhysicalConfig, duration: float) -> tuple[int, in
             f"{MAX_SEGMENTS * seg_duration:g} s"
         )
     r_a, r_b = BitState.HL.resistors(config)
-    freqs = np.arange(1, in_band_bins(SEGMENT_SAMPLES, config.dt, config.bandwidth) + 1)
     levels = [float(np.mean(ms)) for ms in ideal_line_steady_state(
         r_a, r_b, config.z0, config.fly_time, freqs / seg_duration,
         config.sigma(r_a) ** 2, config.sigma(r_b) ** 2,
@@ -537,23 +538,14 @@ def _plan_steady_state(config: PhysicalConfig, duration: float) -> tuple[int, in
     # The standard errors sum squares of wire levels, which must stay normal floats.
     if not all(_is_normal(level * level) for level in levels):
         raise ValueError(f"ideal-line levels <v^2>, <i^2> = {levels} must both have normal squares")
-    # The settled levels of flat drives at the generators' RMS: a bin whose
-    # settled response is not finite, as at a resonance of a line with
-    # |G_a*G_b| = 1, spoils every segment's levels.
-    flat = [np.full(len(freqs), config.sigma(r) * math.sqrt(2.0 / len(freqs)), dtype=complex)
-            for r in (r_a, r_b)]
-    with np.errstate(all="ignore"):
-        spectra = periodic_steady_state(r_a, r_b, config.z0, config.dt_divisor, SEGMENT_SAMPLES,
-                                        *flat)
-        periodic = [0.5 * float(np.sum(z.real**2 + z.imag**2)) for z in spectra]
-    if not all(map(math.isfinite, periodic)):
-        raise ValueError(f"the periodic steady state of resistances ({r_a}, {r_b}) and z0 "
-                         f"{config.z0} gives the wire levels {periodic}; they must be finite")
     gamma_prod = reflection_coefficient(config.r_h, config.z0) * reflection_coefficient(
         config.r_l, config.z0
     )
     settle = 2.0 * config.fly_time / max(1e-12, 1.0 - abs(gamma_prod))
     window = SETTLE_TIMES * settle / config.dt
+    # The bound also keeps the settled response of every bin finite: each
+    # bin's denominator |1 - G_H*G_L*exp(-2j*theta)| is at least
+    # 1 - |G_H*G_L|, which the bound holds to at least 60*D/2^19.
     if not window <= SEGMENT_SAMPLES // 4:
         raise ValueError(f"the line settles in {settle:.3g} s, so the discard window of "
                          f"{SETTLE_TIMES:g} settle times, {window:.3g} samples, is longer than a "

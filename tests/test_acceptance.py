@@ -31,8 +31,10 @@ Criteria:
   10  waveform signature: arrival discontinuity present without defense,
       absent with the full defense
 
-Two more checks ride along: the default tables' bytes, against the digests
-``test_golden`` pins, and the README's scenario-4 table row at n_cal = 2000.
+Three more checks ride along: the default tables' bytes, against the digests
+``test_golden`` pins, the README's scenario-4 table row at n_cal = 2000, and
+the README's curvature rule, which still names the state at the first fly
+time of scenario 4.
 
 Here r = (R_L/R_H)*((R_H+Z0)/(R_L+Z0))^2 is the ratio of the L-side to the
 H-side first-fly-time wire mean square for Johnson-scaled generators.  The
@@ -409,3 +411,23 @@ def test_scenario4_residual_leak_at_n_cal_2000():
     assert [(s.sign_u, s.sign_i) for s in summary.signs] == [(0, 0), (1, 0), (1, 1), (1, 1)]
     assert np.round(summary.p_ev, 3).tolist() == [0.509, 0.555, 0.574, 0.573]
     assert np.round(summary.p_ei, 3).tolist() == [0.509, 0.493, 0.551, 0.562]
+
+
+def test_scenario4_curvature_rule_leak():
+    # the README's curvature rule (ROADMAP item 5): the full defense matches
+    # the start value and slope, but the current's curvature in the first
+    # fly time still scales as sigma_r/(r + z0), so the end whose fitted
+    # quadratic coefficient is the smaller is H with probability
+    # (2/pi)*arctan(k), k = sqrt(R_L/R_H)*(R_H + z0)/(R_L + z0) = sqrt(r):
+    # the no-defense leak
+    n = 600
+    x = np.arange(D, dtype=float)
+    hits = 0
+    for trial in range(n):
+        wf = trial_waveforms(CFG, ScenarioKind.ZERO_START_SLOPE_MATCHED, trial, MASTER_SEED, 1)
+        coef = np.polynomial.polynomial.polyfit(x, np.column_stack((wf.i_a, wf.i_b)), 5)
+        hits += abs(coef[2, 0]) < abs(coef[2, 1])
+    p = hits / n
+    se = math.sqrt(p * (1.0 - p) / n)
+    oracle = _leak_no_defense(CFG)
+    assert abs(p - oracle) <= 3.0 * se, f"{hits}/{n} = {p:.4f} +- {se:.4f}, oracle {oracle:.4f}"

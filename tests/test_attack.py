@@ -1,9 +1,11 @@
 """Eavesdropper statistic, sign calibration and decision rule."""
 
+import math
+
 import numpy as np
 import pytest
 
-from kljnsim.attack import decide, signs_from_calibration, window_stats
+from kljnsim.attack import DecisionSign, decide, signs_from_calibration, window_stats
 from kljnsim.line import TrialWaveforms
 from kljnsim.montecarlo import run_experiment, trial_waveforms
 from kljnsim.protocol import PhysicalConfig, ScenarioKind, SearchParams
@@ -87,6 +89,11 @@ class TestSignsFromCalibration:
         rho = np.random.default_rng(1).normal(0, 1.0, 400)
         sign = signs_from_calibration(rho, rho)
         assert sign.sign_u == 0 and sign.sign_i == 0
+
+    @pytest.mark.parametrize("value", [0.0, math.nan], ids=["zero", "nan"])
+    def test_zero_or_nan_mean_names_no_sign(self, value):
+        rho = np.full(50, value)
+        assert signs_from_calibration(rho, rho) == DecisionSign(0, 0)
 
     def test_needs_two_trials(self):
         with pytest.raises(ValueError):

@@ -391,9 +391,11 @@ class TestMain:
         ("z0 = 1e12\n", "the line settles in 769 s, so the discard window of 30 settle times, "
                         "2.31e+11 samples, is longer than a quarter segment, 524288 samples"),
         # both ends reflect fully (G = 1 in floating point), and bin 8 of a
-        # segment is a line resonance, where the settled response is 0/0
+        # segment is a line resonance, where the settled response would be
+        # 0/0; the line never settles, which the settle bound refuses first
         ("z0 = 1e-14\nt_f = 1e-3\ndt_divisor = 131072\n",
-         "gives the wire levels [nan, nan, nan, nan]; they must be finite"),
+         "the line settles in 2e+09 s, so the discard window of 30 settle times, 7.86e+18 "
+         "samples, is longer than a quarter segment, 524288 samples"),
     ], ids=["huge_resistor", "band_above_nyquist", "tiny_z0", "tiny_levels", "slow_settling",
             "resonance"])
     def test_validate_unusable_reference_exit_two_before_writing(self, tmp_path, capsys,
@@ -404,7 +406,7 @@ class TestMain:
         elapsed = time.perf_counter() - t0
         err = capsys.readouterr().err
         assert rc == 2 and elapsed < 1.0
-        assert message in err and "Traceback" not in err
+        assert "configuration error" in err and message in err and "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("out", UNECHOABLE_OUT_DIRS)
@@ -515,15 +517,19 @@ class TestMain:
         assert "configuration error" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("config, duration, message", [
-        # 1.2e6 samples fit the line-engine check, but the segments do not
-        ("dt_divisor = 100000", "6.4", "plans 30518 segments per state"),
+        # 1.2e5 samples fit the line-engine check, and a segment holds the
+        # band in 10 bins, but the segments are too many
+        ("dt_divisor = 10000", "6.4", "plans 3052 segments per state"),
+        # the cap would suggest 0.419 s, but a segment holds the band in
+        # only 2 bins, so no duration is accepted
+        ("dt_divisor = 50000", "6.4", "only 2 in-band frequency bins"),
         ("dt_divisor = 1000000", "6.4", "asks the line-engine check for 12000000 samples"),
         # only 95 segments, but the line-engine check would need 1.2e10 samples
         ("t_f = 1\ndt_divisor = 1000000000", "0.2",
          "12000000000 samples (12 fly times), above the maximum of 2097152"),
-        # the time step t_f/dt_divisor underflows to 0, and with it a segment
-        ("t_f = 5e-324", "6.4", "plans inf segments per state"),
-    ], ids=["segments", "oracle", "oracle-long-fly-time", "zero-step"])
+        # the time step t_f/dt_divisor underflows to 0
+        ("t_f = 5e-324", "6.4", "dt and bandwidth must be positive"),
+    ], ids=["segments", "band", "oracle", "oracle-long-fly-time", "zero-step"])
     def test_validate_fine_grid_exit_two_at_once(self, tmp_path, capsys, config, duration,
                                                  message):
         t0 = time.perf_counter()
@@ -532,7 +538,7 @@ class TestMain:
         elapsed = time.perf_counter() - t0
         out, err = capsys.readouterr()
         assert rc == 2 and elapsed < 1.0 and out == ""
-        assert message in err and "Traceback" not in err
+        assert "configuration error" in err and message in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
     def test_tables_overflowing_tau_exit_two(self, tmp_path, capsys):

@@ -10,12 +10,13 @@ import numpy as np
 import pytest
 
 from kljnsim import montecarlo
-from kljnsim.line import lattice_step_response, run_transient
+from kljnsim.line import lattice_step_response, periodic_steady_state, run_transient
 from kljnsim.montecarlo import (
     run_experiment,
     trial_waveforms,
     validate_steady_state,
 )
+from kljnsim.noise import in_band_bins
 from kljnsim.protocol import BitState, PhysicalConfig, ScenarioKind, SearchParams
 
 CFG = PhysicalConfig()
@@ -285,6 +286,26 @@ class TestValidateSteadyState:
     def test_rejects_non_finite_duration(self, duration):
         with pytest.raises(ValueError, match=f"duration must be finite, got {duration}"):
             validate_steady_state(CFG, duration, 1)
+
+    def test_settle_bound_keeps_the_settled_response_finite(self):
+        # z0 = 0.98 with D = 10 sits just inside the settle bound, and 0.9
+        # just outside; at the edge, flat drives at the generators' RMS
+        # settle to finite levels near the ideal-line ones
+        edge = PhysicalConfig(z0=0.98, dt_divisor=10)
+        n_seg, discard, v2, i2 = montecarlo._plan_steady_state(edge, 1000.0 / edge.bandwidth)
+        assert n_seg == 1 and discard == 518_353 <= montecarlo.SEGMENT_SAMPLES // 4
+        n_bins = in_band_bins(montecarlo.SEGMENT_SAMPLES, edge.dt, edge.bandwidth)
+        r_a, r_b = BitState.HL.resistors(edge)
+        flat = [np.full(n_bins, edge.sigma(r) * math.sqrt(2.0 / n_bins), dtype=complex)
+                for r in (r_a, r_b)]
+        spectra = periodic_steady_state(r_a, r_b, edge.z0, edge.dt_divisor,
+                                        montecarlo.SEGMENT_SAMPLES, *flat)
+        v_a, v_b, i_a, i_b = (0.5 * float(np.sum(z.real**2 + z.imag**2)) for z in spectra)
+        assert (v_a + v_b) / 2 == pytest.approx(1.72 * v2, rel=0.01)
+        assert (i_a + i_b) / 2 == pytest.approx(1.00 * i2, rel=0.01)
+        with pytest.raises(ValueError, match="the line settles in 0.0188 s"):
+            montecarlo._plan_steady_state(PhysicalConfig(z0=0.9, dt_divisor=10),
+                                          1000.0 / edge.bandwidth)
 
     def test_propagates_one_segment_per_state(self, monkeypatch):
         # the other segments' levels are read from their periodic steady state
