@@ -33,7 +33,7 @@ from .line import (
     reflection_coefficient,
     run_transient,
 )
-from .noise import _on_grid, draw_spectrum, grid_step, in_band_bins, synthesize_record
+from .noise import MIN_BINS, _on_grid, draw_spectrum, grid_step, in_band_bins, synthesize_record
 from .protocol import (
     BitState,
     PhysicalConfig,
@@ -519,7 +519,15 @@ def _plan_steady_state(config: PhysicalConfig, duration: float) -> tuple[int, in
     if duration < min_duration:
         raise ValueError(f"duration {duration} s is below the minimum {min_duration} s (1000/B)")
     # A segment must hold the band first, so that the cap below suggests
-    # only durations that hold it too.
+    # only durations that hold it too.  A step that underflows to 0 is left
+    # to in_band_bins.
+    span = config.bandwidth * SEGMENT_SAMPLES * config.dt  # in bins, as in_band_bins counts
+    if 0 < span < MIN_BINS:
+        largest = math.floor(config.bandwidth * SEGMENT_SAMPLES * config.fly_time / MIN_BINS)
+        raise ValueError(f"a segment of {SEGMENT_SAMPLES} samples at dt_divisor "
+                         f"{config.dt_divisor} holds only {math.floor(span)} in-band frequency "
+                         f"bins, need >= {MIN_BINS}; a dt_divisor up to about {largest} "
+                         f"holds them")
     freqs = np.arange(1, in_band_bins(SEGMENT_SAMPLES, config.dt, config.bandwidth) + 1)
     seg_duration = SEGMENT_SAMPLES * config.dt
     planned = duration / seg_duration

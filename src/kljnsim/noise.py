@@ -20,6 +20,9 @@ exactly.  Since the scale needs no samples, a full record or its grid of
 every D-th sample (``synthesize_record``) and a short window
 (``Spectrum.window``: a random start plays a few hundred samples, summed
 over the in-band bins without the full record) all read the same spectrum.
+A full record is made as P interleaved grids of every P-th sample, by one
+batched inverse FFT of length n/P, since one transform of length n falls
+out of cache at the 2^21 samples of a steady-state segment.
 
 The start-point search implements the defense: the earliest sample of a
 record matching a target value and target slope within relative
@@ -62,9 +65,18 @@ __all__ = [
 
 BOLTZMANN = 1.380649e-23  # J/K, exact SI value
 
+# Fewest in-band frequency bins a record may hold.
+MIN_BINS = 10
+
 # Largest grid step of the start-point search.  Its Hermite error bounds
 # widen as step**4, so a larger step brackets too many intervals to refine.
 MAX_GRID_STEP = 128
+# Most interleaved grids a full record is made from (``_interleaved``).  One
+# inverse FFT of 2^21 points falls out of cache: on one vCPU of a 2-vCPU
+# x86_64 host a 2^21-sample record with 1048 in-band bins took 64-70 ms
+# that way, and 30-32 ms from 16 grids, 31-32 ms from 32, 35-37 ms from 64
+# and 43-45 ms from 128 (quartiles of 60 runs each).
+_MAX_PHASES = 32
 # Relative widening of every bound of the search for rounding: the grid,
 # the direct sums and the bounds themselves are accurate to about 1e-12 of
 # the record's amplitude bound.
@@ -142,9 +154,9 @@ def in_band_bins(n: int, dt: float, bandwidth: float) -> int:
             f"{0.5 / dt} Hz of dt={dt}"
         )
     n_bins = int(math.floor(bandwidth * n * dt))
-    if n_bins < 10:
+    if n_bins < MIN_BINS:
         raise ValueError(
-            f"record too short: only {n_bins} in-band frequency bins, need >= 10 "
+            f"record too short: only {n_bins} in-band frequency bins, need >= {MIN_BINS} "
             f"(n*dt*B = {n * dt * bandwidth:.3g})"
         )
     return n_bins
@@ -155,8 +167,13 @@ def grid_step(n: int, dt: float, bandwidth: float) -> int:
     largest power of two up to MAX_GRID_STEP that divides n and keeps the
     band below the Nyquist frequency of every D-th sample, n_bins < n/(2D);
     1 when no larger step does."""
-    n_bins = in_band_bins(n, dt, bandwidth)
-    step = MAX_GRID_STEP
+    return _largest_step(n, in_band_bins(n, dt, bandwidth), MAX_GRID_STEP)
+
+
+def _largest_step(n: int, n_bins: int, limit: int) -> int:
+    """The largest power of two up to the power of two ``limit`` that
+    divides n and keeps n_bins < n/(2*step); 1 when no larger one does."""
+    step = limit
     while step > 1 and not (n % step == 0 and 2 * step * n_bins < n):
         step //= 2
     return step
@@ -196,7 +213,7 @@ class Spectrum:
             raise ValueError(f"window of {count} samples from {start} is not inside "
                              f"{self.n} samples")
         if count * len(self.coeffs) > self.n:
-            return _on_grid(self.coeffs, self.n, self.scale)[start : start + count].copy()
+            return synthesize_record(self).samples[start : start + count].copy()
         return _direct_sum(self, start, count)
 
 
@@ -235,18 +252,45 @@ class NoiseRecord:
 
 
 def synthesize_record(spectrum: Spectrum, step: int = 1) -> NoiseRecord:
-    """Every step-th sample of the record of ``spectrum``, by an inverse real
-    FFT of length n/step at the Parseval scale, so a full record (step 1)
-    has sample RMS sigma to rounding.  The step must be an integer >= 1 that
-    divides n and keeps n_bins < n/(2*step), as ``grid_step``'s does; the
-    samples of a grid equal the full record's to about 1e-14 of sigma.
+    """Every step-th sample of the record of ``spectrum`` at the Parseval
+    scale, so a full record (step 1) has sample RMS sigma to rounding.  A
+    grid (step > 1) is one inverse real FFT of length n/step; a full record
+    is made from interleaved grids (``_interleaved``).  The step must be an
+    integer >= 1 that divides n and keeps n_bins < n/(2*step), as
+    ``grid_step``'s does; the samples of a grid equal the full record's to
+    about 1e-14 of sigma.
     """
     n, n_bins = spectrum.n, len(spectrum.coeffs)
     if not (isinstance(step, numbers.Integral) and step >= 1 and n % step == 0
             and 2 * step * n_bins < n):
         raise ValueError(f"step {step} does not divide {n} samples into a grid that holds "
                          f"{n_bins} in-band bins below its Nyquist frequency")
+    if step == 1:
+        return NoiseRecord(spectrum, _interleaved(spectrum))
     return NoiseRecord(spectrum, _on_grid(spectrum.coeffs, n // step, spectrum.scale), step)
+
+
+def _interleaved(spectrum: Spectrum) -> np.ndarray:
+    """Every sample of the record of ``spectrum``, from P interleaved grids:
+    sample q*P + t is sample q of the (n/P)-sample grid of the coefficients
+    X_k exp(2*pi*i*k*t/n).  P is the largest power of two up to _MAX_PHASES
+    that divides n and keeps the band below every grid's Nyquist frequency,
+    n_bins < n/(2P); P = 1 is ``_on_grid``'s one inverse FFT.  One batched
+    inverse FFT makes the P grids, and one transposed multiply writes them
+    into the record at the Parseval scale."""
+    coeffs, n = spectrum.coeffs, spectrum.n
+    phases = _largest_step(n, len(coeffs), _MAX_PHASES)
+    if phases == 1:
+        return _on_grid(coeffs, n, spectrum.scale)
+    count = n // phases
+    shifted = np.zeros((phases, len(coeffs) + 1), dtype=complex)
+    # k*t < P*n_bins < n/2, so the angles need no reduction mod n.
+    angles = np.arange(phases)[:, None] * np.arange(1, len(coeffs) + 1)
+    shifted[:, 1:] = coeffs * np.exp((2j * math.pi / n) * angles)
+    grids = np.fft.irfft(shifted, count)
+    samples = np.empty(n)
+    np.multiply(grids.T, spectrum.scale * (count / 2), out=samples.reshape(count, phases))
+    return samples
 
 
 def _on_grid(spectrum: np.ndarray, count: int, scale: float) -> np.ndarray:

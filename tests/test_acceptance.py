@@ -31,10 +31,11 @@ Criteria:
   10  waveform signature: arrival discontinuity present without defense,
       absent with the full defense
 
-Three more checks ride along: the default tables' bytes, against the digests
-``test_golden`` pins, the README's scenario-4 table row at n_cal = 2000, and
-the README's curvature rule, which still names the state at the first fly
-time of scenario 4.
+More checks ride along: the bytes of the default tables and validation
+report, against the digests ``test_golden`` pins, the README's scenario-4
+table row at n_cal = 2000, the README's curvature rule, which still names
+the state at the first fly time of scenario 4, and its arrival kink rule,
+which names it in nearly every trial once the first reflected wave arrives.
 
 Here r = (R_L/R_H)*((R_H+Z0)/(R_L+Z0))^2 is the ratio of the L-side to the
 H-side first-fly-time wire mean square for Johnson-scaled generators.  The
@@ -431,3 +432,25 @@ def test_scenario4_curvature_rule_leak():
     se = math.sqrt(p * (1.0 - p) / n)
     oracle = _leak_no_defense(CFG)
     assert abs(p - oracle) <= 3.0 * se, f"{hits}/{n} = {p:.4f} +- {se:.4f}, oracle {oracle:.4f}"
+
+
+def test_scenario4_arrival_kink_rule():
+    # the defense hides the state from the mean-square Eve, not from an Eve
+    # who resolves v and i at the first arrival (ROADMAP item 5): at an end
+    # with resistor r, v + r*i is the generator's smooth drive, while the
+    # wrong resistor adds a multiple of the current, whose arriving wave
+    # kinks at sample d; so the sum over both ends of the largest |third
+    # difference| touching sample d is the smaller for the true assignment
+    n = 300
+
+    def kink(v, i, r):
+        return np.max(np.abs(np.diff((v + r * i)[D - 3 : D + 4], 3)))
+
+    hits = 0
+    for trial in range(n):
+        wf = trial_waveforms(CFG, ScenarioKind.ZERO_START_SLOPE_MATCHED, trial, MASTER_SEED, 2)
+        hl = kink(wf.v_a, wf.i_a, CFG.r_h) + kink(wf.v_b, wf.i_b, CFG.r_l)
+        lh = kink(wf.v_a, wf.i_a, CFG.r_l) + kink(wf.v_b, wf.i_b, CFG.r_h)
+        hits += hl < lh
+    print(f"\nscenario 4 arrival kink rule: {hits}/{n} = {hits / n:.4f} named HL")
+    assert hits / n >= 0.98, f"{hits}/{n}"

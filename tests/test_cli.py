@@ -522,7 +522,8 @@ class TestMain:
         ("dt_divisor = 10000", "6.4", "plans 3052 segments per state"),
         # the cap would suggest 0.419 s, but a segment holds the band in
         # only 2 bins, so no duration is accepted
-        ("dt_divisor = 50000", "6.4", "only 2 in-band frequency bins"),
+        ("dt_divisor = 50000", "6.4",
+         "a segment of 2097152 samples at dt_divisor 50000 holds only 2 in-band frequency bins"),
         ("dt_divisor = 1000000", "6.4", "asks the line-engine check for 12000000 samples"),
         # only 95 segments, but the line-engine check would need 1.2e10 samples
         ("t_f = 1\ndt_divisor = 1000000000", "0.2",

@@ -42,7 +42,7 @@ DIGESTS = {
         "a18b80706ea0583f4b12fd42f1306f99029cdc23e81f38a5b15e6b1d190a0e4d",
     "waveforms/waveforms_scenario_4.tsv":
         "9a6eba76e16a067572fab0f215f7855afe41b6a74e92e58f8a6a48e975cceaa9",
-    "validate/validation.txt": "282702b2b1f2b5d98394e4f233cc7136c7068dc15a32e7906d5b6b9833402441",
+    "validate/validation.txt": "ecee5a4f372eb2031f66312e2c082e223c5ae5a1c29743d8332cbe0320e9ccd2",
     # The default configuration's tables, checked by the acceptance module
     # on the summaries its experiments fixture computes.
     "defaults/scenario_1.csv": "02c5f6329d19a62ae8a8ea5b05ac8db6423127f03f77e3d871e6f0c804125c72",
@@ -51,7 +51,7 @@ DIGESTS = {
     "defaults/scenario_4.csv": "de925b61dba8bb9d2a35b035ce6fe01d48d453e6046fd44e6c44408bdd427476",
     # The default 6.4 s validate report (31 segments of one chunk each),
     # checked by the acceptance module on its steady_report fixture.
-    "defaults/validation.txt": "2f323cf841f12433f3bb9f73a34f862439ee76dc30c716020b04a5c7b922b484",
+    "defaults/validation.txt": "2ee6b9b149cf15bdae385cf57c2a93bc1daf0becacbb7dc65ebf41b361b09ad2",
 }
 
 REDUCED = "n_cal = 50\nn_trials = 30\nrecord_len = 65536\n"

@@ -19,7 +19,11 @@ from kljnsim.noise import (
     BOLTZMANN,
     MAX_GRID_STEP,
     StartPoint,
+    _MAX_PHASES,
+    _direct_sum,
     _grids_and_bounds,
+    _largest_step,
+    _on_grid,
     _pointwise,
     _possible_intervals,
     draw_spectrum,
@@ -250,6 +254,36 @@ class TestSynthesizeRecord:
             assert (grid.step, len(grid.samples)) == (step, n // step)
             assert np.array_equal(grid.spectrum.coeffs, full.spectrum.coeffs)
             assert np.max(np.abs(grid.samples - full.samples[::step])) <= 1e-12 * 2.5
+
+    def test_interleaved_record_matches_direct_sums(self):
+        # 2^21 samples hold 1048 in-band bins, so the record is made from 32
+        # interleaved grids; 32 consecutive samples take one from each grid
+        n, sigma = 2**21, 1.9661681515068847
+        spectrum = draw_spectrum(np.random.SeedSequence(11), n, DT, B, sigma)
+        assert _largest_step(n, len(spectrum.coeffs), _MAX_PHASES) == 32
+        x = synthesize_record(spectrum).samples
+        starts = [0, n - 32, *np.random.default_rng(11).integers(0, n - 32, 16).tolist()]
+        worst = max(np.max(np.abs(x[start : start + 32] - _direct_sum(spectrum, start, 32)))
+                    for start in starts)
+        assert worst <= 1e-13 * sigma
+        assert math.sqrt(np.mean(x**2)) == pytest.approx(sigma, rel=1e-12)
+
+    @pytest.mark.parametrize("n, bandwidth", [(2**16 + 1, B), (2**14, 0.3 / DT)],
+                             ids=["odd-n", "band-above-n/4-bins"])
+    def test_record_without_interleaved_grids_is_one_inverse_fft(self, n, bandwidth):
+        # no power of two P > 1 divides an odd n, and 2P*n_bins >= n when
+        # the band holds n/4 bins or more
+        spectrum = draw_spectrum(np.random.SeedSequence(3), n, DT, bandwidth, 2.5)
+        assert _largest_step(n, len(spectrum.coeffs), _MAX_PHASES) == 1
+        samples = synthesize_record(spectrum).samples
+        assert samples.tobytes() == _on_grid(spectrum.coeffs, n, spectrum.scale).tobytes()
+
+    def test_search_grid_is_one_inverse_fft(self, spectrum):
+        # the start-point search's grid keeps its arithmetic: one inverse FFT
+        # of n/128 points
+        grid = synthesize_record(spectrum, 128)
+        assert grid.samples.tobytes() == _on_grid(spectrum.coeffs, N // 128,
+                                                  spectrum.scale).tobytes()
 
     @pytest.mark.parametrize("step", [0, 3, 2**12, 2.0, 1.0])
     def test_rejects_a_grid_that_misses_the_band(self, step):
