@@ -19,13 +19,12 @@ is recorded as uninformative and forces a fair coin.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .line import TrialWaveforms
 
-__all__ = ["DecisionSign", "window_stats", "signs_from_calibration", "decide"]
+__all__ = ["window_stats", "signs_from_calibration", "decide"]
 
 
 def window_stats(waveforms: TrialWaveforms, tau_steps) -> tuple[np.ndarray, np.ndarray]:
@@ -47,35 +46,28 @@ def window_stats(waveforms: TrialWaveforms, tau_steps) -> tuple[np.ndarray, np.n
     return cum_u[steps - 1] / width, cum_i[steps - 1] / width
 
 
-@dataclass(frozen=True)
-class DecisionSign:
-    """Calibrated decision orientation for one observation window.
+def signs_from_calibration(rho_u, rho_i) -> np.ndarray:
+    """Eve's signs from labeled-HL calibration statistics, trials on axis 0
+    of each channel ((n_cal,) or (n_cal, W)): an int array of shape (2, ...)
+    with the voltage signs in row 0 and the current signs in row 1.
 
-    sign_u / sign_i are +1 or -1 when the labeled-run calibration was
-    conclusive and 0 when uninformative (|mean| below two standard errors,
-    or a mean of zero or NaN), which forces a fair-coin guess downstream.
+    Each sign is that of its series' mean when |mean| is at least two
+    standard errors, else 0, so a zero or NaN mean names no sign; an
+    uninformative sign forces a fair-coin guess downstream.
     """
-
-    sign_u: int
-    sign_i: int
-
-
-def signs_from_calibration(rho_u: np.ndarray, rho_i: np.ndarray) -> DecisionSign:
-    """Reduce labeled-HL calibration statistics to a DecisionSign: each
-    sign is that of the mean when |mean| is at least two standard errors,
-    else 0, so a zero or NaN mean names no sign."""
-    out = []
-    for arr in (np.asarray(rho_u, dtype=float), np.asarray(rho_i, dtype=float)):
-        if len(arr) < 2:
-            raise ValueError("calibration needs at least 2 trials")
-        # Scaled by a power of two to a largest magnitude in [0.5, 1), so that
-        # the squares of the standard error neither overflow nor underflow;
-        # the scaling is exact and the sign test is scale-free.
-        arr = np.ldexp(arr, -math.frexp(float(np.max(np.abs(arr))))[1])
-        mean = float(np.mean(arr))
-        se = float(np.std(arr, ddof=1)) / math.sqrt(len(arr))
-        out.append(int(np.sign(mean)) if abs(mean) >= 2.0 * se else 0)
-    return DecisionSign(out[0], out[1])
+    # One contiguous row per (channel, window) series, so that mean and std
+    # sum each series in the order of a 1-D reduction.
+    rows = np.ascontiguousarray(np.moveaxis(np.stack((rho_u, rho_i)), 1, -1), dtype=float)
+    n = rows.shape[-1]
+    if n < 2:
+        raise ValueError("calibration needs at least 2 trials")
+    # Each series is scaled by its own power of two to a largest magnitude in
+    # [0.5, 1), so that the squares of the standard error neither overflow
+    # nor underflow; the scaling is exact and the sign test is scale-free.
+    rows = np.ldexp(rows, -np.frexp(np.max(np.abs(rows), axis=-1, keepdims=True))[1])
+    mean = np.mean(rows, axis=-1)
+    se = np.std(rows, ddof=1, axis=-1) / math.sqrt(n)
+    return np.where(np.abs(mean) >= 2.0 * se, np.sign(mean), 0.0).astype(int)
 
 
 def decide(sign, rho, coin) -> np.ndarray:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attack import DecisionSign, decide, signs_from_calibration, window_stats
+from .attack import decide, signs_from_calibration, window_stats
 from .line import (
     TrialWaveforms,
     _propagate,
@@ -212,8 +212,10 @@ def _collect(run, phases, jobs: int) -> tuple[np.ndarray, ...]:
 class ExperimentSummary:
     """Per-window attack success estimates for one scenario.
 
-    decisions_v / decisions_i hold one guess-correctness flag per
-    (evaluation trial, window).
+    ``signs`` holds Eve's calibrated signs, shape (2, windows): the
+    voltage signs in row 0 and the current signs in row 1, each +1, -1 or 0
+    (uninformative).  decisions_v / decisions_i hold one guess-correctness
+    flag per (evaluation trial, window).
     """
 
     scenario: ScenarioKind
@@ -224,7 +226,7 @@ class ExperimentSummary:
     se_i: np.ndarray
     n_trials: int
     loosened_fraction: float
-    signs: list[DecisionSign]
+    signs: np.ndarray
     decisions_v: np.ndarray = field(repr=False)
     decisions_i: np.ndarray = field(repr=False)
 
@@ -284,12 +286,9 @@ def run_experiment(
     rho_u, rho_i, coins, loosened = _collect(
         run, ((_PHASE_CAL, n_cal), (_PHASE_EVAL, n_trials)), jobs
     )
-    signs = [
-        signs_from_calibration(rho_u[:n_cal, j], rho_i[:n_cal, j])
-        for j in range(len(tau_steps))
-    ]
-    ok_v = decide([s.sign_u for s in signs], rho_u[n_cal:], coins[n_cal:])
-    ok_i = decide([s.sign_i for s in signs], rho_i[n_cal:], coins[n_cal:])
+    signs = signs_from_calibration(rho_u[:n_cal], rho_i[:n_cal])
+    ok_v = decide(signs[0], rho_u[n_cal:], coins[n_cal:])
+    ok_i = decide(signs[1], rho_i[n_cal:], coins[n_cal:])
     p_ev = ok_v.mean(axis=0)
     p_ei = ok_i.mean(axis=0)
     return ExperimentSummary(
@@ -507,12 +506,6 @@ def _plan_steady_state(config: PhysicalConfig, duration: float) -> tuple[int, in
     end-averaged ideal-line levels ``<v^2>`` and ``<i^2>`` of HL on one
     segment's in-band bins; ValueError for a duration or config that cannot
     be validated."""
-    # The line-engine check's step response may be no longer than a segment.
-    n_engine = ENGINE_FLY_TIMES * config.dt_divisor
-    if n_engine > SEGMENT_SAMPLES:
-        raise ValueError(f"dt_divisor {config.dt_divisor} asks the line-engine check for "
-                         f"{n_engine} samples ({ENGINE_FLY_TIMES} fly times), above the "
-                         f"maximum of {SEGMENT_SAMPLES}")
     if not math.isfinite(duration):
         raise ValueError(f"duration must be finite, got {duration} s")
     min_duration = 1000.0 / config.bandwidth
@@ -554,6 +547,7 @@ def _plan_steady_state(config: PhysicalConfig, duration: float) -> tuple[int, in
     # The bound also keeps the settled response of every bin finite: each
     # bin's denominator |1 - G_H*G_L*exp(-2j*theta)| is at least
     # 1 - |G_H*G_L|, which the bound holds to at least 60*D/2^19.
+    # The window is >= 60*D samples, so D <= 8738 and the engine check fits a segment.
     if not window <= SEGMENT_SAMPLES // 4:
         raise ValueError(f"the line settles in {settle:.3g} s, so the discard window of "
                          f"{SETTLE_TIMES:g} settle times, {window:.3g} samples, is longer than a "

@@ -409,7 +409,8 @@ def test_scenario4_residual_leak_at_n_cal_2000():
     # rehearsal finds the sign from the second fly time on
     summary = run_experiment(CFG, ScenarioKind.ZERO_START_SLOPE_MATCHED, TAUS, N_TRIALS,
                              MASTER_SEED, n_cal=2000, jobs=2)
-    assert [(s.sign_u, s.sign_i) for s in summary.signs] == [(0, 0), (1, 0), (1, 1), (1, 1)]
+    # one (voltage, current) pair per window
+    assert summary.signs.T.tolist() == [[0, 0], [1, 0], [1, 1], [1, 1]]
     assert np.round(summary.p_ev, 3).tolist() == [0.509, 0.555, 0.574, 0.573]
     assert np.round(summary.p_ei, 3).tolist() == [0.509, 0.493, 0.551, 0.562]
 

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from kljnsim.attack import DecisionSign, decide, signs_from_calibration, window_stats
+from kljnsim import montecarlo
+from kljnsim.attack import decide, signs_from_calibration, window_stats
 from kljnsim.line import TrialWaveforms
 from kljnsim.montecarlo import run_experiment, trial_waveforms
 from kljnsim.protocol import PhysicalConfig, ScenarioKind, SearchParams
@@ -79,21 +80,28 @@ class TestImbalances:
         assert window_stats(_wf(series), (D + 1,))[0][0] > 1.0
 
 
+def _column_sign(arr):
+    """The sign rule on one 1-D series: the reference that each (channel,
+    window) sign of signs_from_calibration must match."""
+    arr = np.ldexp(arr, -math.frexp(float(np.max(np.abs(arr))))[1])
+    mean = float(np.mean(arr))
+    se = float(np.std(arr, ddof=1)) / math.sqrt(len(arr))
+    return int(np.sign(mean)) if abs(mean) >= 2.0 * se else 0
+
+
 class TestSignsFromCalibration:
     def test_strong_mean_is_informative(self):
         rho = np.full(100, 2.0) + np.random.default_rng(0).normal(0, 0.1, 100)
-        sign = signs_from_calibration(rho, -rho)
-        assert sign.sign_u == 1 and sign.sign_i == -1
+        assert signs_from_calibration(rho, -rho).tolist() == [1, -1]
 
     def test_near_zero_mean_is_uninformative(self):
         rho = np.random.default_rng(1).normal(0, 1.0, 400)
-        sign = signs_from_calibration(rho, rho)
-        assert sign.sign_u == 0 and sign.sign_i == 0
+        assert signs_from_calibration(rho, rho).tolist() == [0, 0]
 
     @pytest.mark.parametrize("value", [0.0, math.nan], ids=["zero", "nan"])
     def test_zero_or_nan_mean_names_no_sign(self, value):
         rho = np.full(50, value)
-        assert signs_from_calibration(rho, rho) == DecisionSign(0, 0)
+        assert signs_from_calibration(rho, rho).tolist() == [0, 0]
 
     def test_needs_two_trials(self):
         with pytest.raises(ValueError):
@@ -107,7 +115,29 @@ class TestSignsFromCalibration:
         for mean in (-0.3, -0.1, 0.0, 0.1, 0.3):
             rho_u, rho_i = rng.normal(mean, 1.0, 50), rng.normal(-mean, 0.5, 50)
             scaled = signs_from_calibration(np.ldexp(rho_u, exponent), np.ldexp(rho_i, exponent))
-            assert scaled == signs_from_calibration(rho_u, rho_i)
+            assert np.array_equal(scaled, signs_from_calibration(rho_u, rho_i))
+
+    def test_each_window_matches_the_column_rule(self):
+        # random tables whose columns differ in mean and scale: row 0 holds
+        # the voltage signs, row 1 the current signs, one column per window
+        rng = np.random.default_rng(4)
+        for _ in range(60):
+            n, w = int(rng.integers(2, 400)), int(rng.integers(1, 6))
+            tables = [rng.normal(rng.normal(0, 0.3, w), 1.0, (n, w))
+                      * np.ldexp(1.0, rng.integers(-50, 51, w)) for _ in range(2)]
+            signs = signs_from_calibration(*tables)
+            assert signs.shape == (2, w) and signs.dtype.kind == "i"
+            assert signs.tolist() == [[_column_sign(t[:, j]) for j in range(w)] for t in tables]
+
+    def test_each_window_has_its_own_scale(self):
+        # one scale shared by both columns would overflow the 2^1000 column's
+        # squares or underflow the 2^-1000 column's
+        rng = np.random.default_rng(5)
+        base = rng.normal(0.5, 1.0, 200)
+        table = np.column_stack((np.ldexp(base, 1000), np.ldexp(-base, -1000)))
+        expected = _column_sign(base)
+        assert expected != 0
+        assert signs_from_calibration(table, table).tolist() == [[expected, -expected]] * 2
 
 
 class TestCalibrateSign:
@@ -122,12 +152,26 @@ class TestCalibrateSign:
             run_experiment(CFG, ScenarioKind.NO_DEFENSE, [1], 1, 1, n_cal=10, params=FAST)
 
     def test_no_defense_signs_informative_and_equal(self):
-        (sign,) = self._signs(1)
-        assert sign.sign_u != 0
-        assert sign.sign_u == sign.sign_i
+        signs = self._signs(1)
+        assert signs.shape == (2, 1)
+        assert signs[0, 0] != 0
+        assert signs[0, 0] == signs[1, 0]
 
     def test_deterministic(self):
-        assert self._signs(2) == self._signs(2)
+        assert np.array_equal(self._signs(2), self._signs(2))
+
+    def test_one_calibration_call_for_all_windows(self, monkeypatch):
+        calls = []
+
+        def counting(rho_u, rho_i):
+            calls.append(np.shape(rho_u))
+            return signs_from_calibration(rho_u, rho_i)
+
+        monkeypatch.setattr(montecarlo, "signs_from_calibration", counting)
+        summary = run_experiment(CFG, ScenarioKind.NO_DEFENSE, [1, 2, 3, 4], 1, 1, n_cal=50,
+                                 params=FAST)
+        assert calls == [(50, 4)]
+        assert summary.signs.shape == (2, 4)
 
 
 class TestEveDecide:

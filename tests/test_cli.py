@@ -517,17 +517,17 @@ class TestMain:
         assert "configuration error" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("config, duration, message", [
-        # 1.2e5 samples fit the line-engine check, and a segment holds the
-        # band in 10 bins, but the segments are too many
+        # a segment holds the band in 10 bins, but the segments are too many
         ("dt_divisor = 10000", "6.4", "plans 3052 segments per state"),
         # the cap would suggest 0.419 s, but a segment holds the band in
         # only 2 bins, so no duration is accepted
         ("dt_divisor = 50000", "6.4",
          "a segment of 2097152 samples at dt_divisor 50000 holds only 2 in-band frequency bins"),
-        ("dt_divisor = 1000000", "6.4", "asks the line-engine check for 12000000 samples"),
-        # only 95 segments, but the line-engine check would need 1.2e10 samples
-        ("t_f = 1\ndt_divisor = 1000000000", "0.2",
-         "12000000000 samples (12 fly times), above the maximum of 2097152"),
+        # a segment of 2^21 steps of 1e-11 s holds no bin of the band
+        ("dt_divisor = 1000000", "6.4", "holds only 0 in-band frequency bins"),
+        # only 95 segments of 10.5 bins, but the discard window of 60*D
+        # samples or more is far longer than a quarter segment
+        ("t_f = 1\ndt_divisor = 1000000000", "0.2", "the line settles in 34.9 s"),
         # the time step t_f/dt_divisor underflows to 0
         ("t_f = 5e-324", "6.4", "dt and bandwidth must be positive"),
     ], ids=["segments", "band", "oracle", "oracle-long-fly-time", "zero-step"])

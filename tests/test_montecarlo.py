@@ -69,7 +69,7 @@ class TestRunExperiment:
         b = run_experiment(CFG, ScenarioKind.NO_DEFENSE, TAUS, 12, 77, n_cal=50, params=FAST)
         assert np.array_equal(a.p_ev, b.p_ev)
         assert np.array_equal(a.p_ei, b.p_ei)
-        assert [s.sign_u for s in a.signs] == [s.sign_u for s in b.signs]
+        assert np.array_equal(a.signs, b.signs)
 
     def test_worker_count_does_not_change_results(self):
         one = run_experiment(CFG, ScenarioKind.NO_DEFENSE, TAUS, 16, 31, n_cal=50,
@@ -151,7 +151,7 @@ class TestRunExperiment:
         assert started == [2]
         assert np.array_equal(one.decisions_v, two.decisions_v)
         assert np.array_equal(one.decisions_i, two.decisions_i)
-        assert one.signs == two.signs
+        assert np.array_equal(one.signs, two.signs)
         assert one.loosened_fraction == two.loosened_fraction
         assert one.csv_lines() == two.csv_lines()
 
@@ -177,7 +177,7 @@ class TestRunExperiment:
                            params=SearchParams(record_len=2**16))
         assert s.csv_lines()[1:] == rows
         if scenario == ScenarioKind.ZERO_START_SLOPE_MATCHED:
-            assert all(sign.sign_u == sign.sign_i == 0 for sign in s.signs)
+            assert s.signs.tolist() == [[0] * len(TAUS)] * 2
 
     def test_decision_identity_inside_first_fly_time(self):
         s = run_experiment(CFG, ScenarioKind.ZERO_START_ONLY, TAUS, 20, 13, n_cal=50,
@@ -265,10 +265,19 @@ class TestEngineStepError:
 
 
 class TestValidateSteadyState:
-    def test_engine_check_length_is_checked_first(self):
-        with pytest.raises(ValueError, match="dt_divisor 1000000 asks the line-engine check for "
-                                             "12000000 samples"):
-            validate_steady_state(PhysicalConfig(dt_divisor=10**6), math.inf, 1)
+    def test_settle_bound_refuses_every_engine_check_longer_than_a_segment(self):
+        # the discard window is at least 60*D samples, so every D whose
+        # step response of ENGINE_FLY_TIMES fly times outgrows a segment is
+        # refused; the fly time is chosen so that a segment holds the band
+        # in 1000 bins and the earlier checks pass
+        for d in (montecarlo.SEGMENT_SAMPLES // montecarlo.ENGINE_FLY_TIMES + 1, 10**9,
+                  2**53 - 1):
+            assert montecarlo.ENGINE_FLY_TIMES * d > montecarlo.SEGMENT_SAMPLES
+            config = PhysicalConfig(
+                fly_time=1000.0 * d / (CFG.bandwidth * montecarlo.SEGMENT_SAMPLES), dt_divisor=d
+            )
+            with pytest.raises(ValueError, match="the line settles in"):
+                validate_steady_state(config, 1000.0 / config.bandwidth, 1)
 
     def test_broken_engine_fails_the_report(self, monkeypatch):
         monkeypatch.setattr(montecarlo, "run_transient", _broken_engine(3 * D + D // 2))
