@@ -31,6 +31,7 @@ row's arrivals and a row takes five elementwise calls for both ends.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import cycle
 
@@ -44,10 +45,6 @@ __all__ = [
     "periodic_steady_state",
     "run_transient",
 ]
-
-# lattice_step_response rejects queries within this fraction of a fly time
-# of an arrival instant, where the step response is discontinuous.
-ARRIVAL_GUARD = 1e-9
 
 # Fly-time blocks per pass of ``_propagate``'s scratch rows: enough that the
 # per-pass dealing is a small share of the work (2^21 samples on one vCPU of
@@ -190,57 +187,35 @@ def run_transient(
     return TrialWaveforms(config.dt, u_a, u_b, v_a, v_b, i_a, i_b)
 
 
-def lattice_step_response(
-    u: float,
-    r_src: float,
-    r_load: float,
-    z0: float,
-    fly_time: float,
-    t: float,
-) -> tuple[float, float]:
-    """Closed-form step response of the terminated line (bounce-diagram sum).
+def lattice_step_response(r_src: float, r_load: float, z0: float, m: int) -> tuple[float, float]:
+    """Closed-form unit-step response of the terminated line (bounce-diagram sum).
 
-    A step of height ``u`` is applied at the source end at t = 0.  The
-    launched wave u*z0/(r_src + z0) bounces between the ends, each arrival
-    multiplying by the local reflection coefficient; the end voltages are
-    piecewise constant between arrivals.  Queries within ARRIVAL_GUARD fly
-    times of an arrival instant k*fly_time are rejected because the value
-    is discontinuous there.
-
-    Returns (v_src, v_load).  Used as an independent oracle for the
-    time-stepped engine.
+    A unit step is applied at the source end at t = 0.  The launched wave
+    z0/(r_src + z0) bounces between the ends, each arrival multiplying by the
+    local reflection coefficient, so the end voltages change only at whole
+    fly times.  Returns (v_src, v_load) during fly time ``m``, the open
+    interval (m*fly_time, (m + 1)*fly_time): the engine's samples of block m,
+    its opening sample included, since a wave arriving at a sample already
+    acts on it.  Used as an independent oracle for the time-stepped engine.
     """
-    if t < 0:
-        raise ValueError("t must be non-negative")
-    if fly_time <= 0:
-        raise ValueError("fly_time must be positive")
-    k_near = round(t / fly_time)
-    if k_near > 0 and abs(t - k_near * fly_time) <= ARRIVAL_GUARD * fly_time:
-        raise ValueError(
-            f"t = {t} is at (or too close to) the arrival instant {k_near}*fly_time; "
-            "the step response is discontinuous there"
-        )
+    if not isinstance(m, numbers.Integral) or m < 0:
+        raise ValueError(f"the fly-time index must be a non-negative integer, got {m!r}")
     gamma_src = reflection_coefficient(r_src, z0)
     gamma_load = reflection_coefficient(r_load, z0)
-    launch = u * z0 / (r_src + z0)
+    launch = z0 / (r_src + z0)
     # source end: arrivals at 2*fly_time, 4*fly_time, ...
-    n_round_trips = int(t // (2.0 * fly_time))
     v_src = launch
     incident = launch
-    for _ in range(n_round_trips):
+    for _ in range(m // 2):
         incident *= gamma_load
         v_src += incident * (1.0 + gamma_src)
         incident *= gamma_src
     # load end: arrivals at fly_time, 3*fly_time, ...
-    if t < fly_time:
-        v_load = 0.0
-    else:
-        n_arrivals = int((t - fly_time) // (2.0 * fly_time)) + 1
-        v_load = 0.0
-        incident = launch
-        for _ in range(n_arrivals):
-            v_load += incident * (1.0 + gamma_load)
-            incident *= gamma_load * gamma_src
+    v_load = 0.0
+    incident = launch
+    for _ in range((m + 1) // 2):
+        v_load += incident * (1.0 + gamma_load)
+        incident *= gamma_load * gamma_src
     return v_src, v_load
 
 

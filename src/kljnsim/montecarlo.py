@@ -483,18 +483,16 @@ def _engine_step_error(config: PhysicalConfig) -> float:
     """Worst relative error of the engine's cold-start step response, a unit
     step behind R_H at A with R_L at B, against the bounce diagram over
     ENGINE_FLY_TIMES fly times.  The bounce diagram is constant within a fly
-    time, so it is evaluated once per fly time and compared with that fly
-    time's block of samples; the sample that opens each later block lies on
-    an arrival, where the response jumps, and is skipped."""
+    time, so it is evaluated once per fly time and compared with every
+    sample of that fly time's block."""
     d = config.dt_divisor
     n = ENGINE_FLY_TIMES * d
     wf = run_transient(config, np.ones(n), config.r_h, np.zeros(n), config.r_l)
     worst = 0.0
     for m in range(ENGINE_FLY_TIMES):
-        oracle = lattice_step_response(1.0, config.r_h, config.r_l, config.z0, config.fly_time,
-                                       (m + 0.5) * config.fly_time)
+        oracle = lattice_step_response(config.r_h, config.r_l, config.z0, m)
         ref = max(abs(v) for v in oracle)
-        block = slice(m * d + (m > 0), (m + 1) * d)
+        block = slice(m * d, (m + 1) * d)
         for v, v_oracle in zip((wf.v_a, wf.v_b), oracle):
             worst = float(np.max(np.abs(v[block] - v_oracle) / ref, initial=worst))
     return worst

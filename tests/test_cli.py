@@ -542,14 +542,25 @@ class TestMain:
         assert "configuration error" in err and message in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
-    def test_tables_overflowing_tau_exit_two(self, tmp_path, capsys):
-        cfg = _write(tmp_path, "tau_multipliers = 1" + "0" * 400 + "\n")
-        rc = main(["tables", "--config", cfg, "--out", str(tmp_path / "out")])
+    @pytest.mark.parametrize("config, scenario, message", [
+        # the window outgrows any record
+        ("tau_multipliers = 1" + "0" * 400, [],
+         f"record_len 1048576 too short for {10**402} transient steps"),
+        # sigma_L = 1e150 V is finite, but the public slope target, the RMS
+        # slope 2*pi*B*sigma_L/sqrt(3), overflows; t_f keeps B below Nyquist
+        ("temperature = 9e160\nbandwidth = 1e158\nt_f = 1e-161", ["--scenario", "4"],
+         "scenario 4's public slope targets [inf, inf] V/s must be nonzero normal floats"),
+    ], ids=["overflowing-tau", "infinite-slope-target"])
+    def test_tables_plan_refusal_exit_two_before_writing(self, tmp_path, capsys, config,
+                                                         scenario, message):
+        # the plan reports each before any trial
+        out = tmp_path / "out"
+        rc = main(["tables", "--config", _write(tmp_path, config + "\n"), "--out", str(out)]
+                  + scenario)
         err = capsys.readouterr().err
-        # the window outgrows any record, which the plan reports before any trial
         assert rc == 2 and "Traceback" not in err
-        assert f"record_len 1048576 too short for {10**402} transient steps" in err
-        assert not (tmp_path / "out").exists()
+        assert "configuration error" in err and message in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", [["tables"], ["waveforms", "--scenario", "1"]])
     def test_record_without_band_exit_two_before_writing(self, tmp_path, capsys, command):

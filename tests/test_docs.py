@@ -1,9 +1,9 @@
-"""The READMEs cite tests that exist.
+"""The READMEs and the ROADMAP cite tests that exist.
 
 Every ``tests/<module>.py`` path, with its ``::`` parts, and every bare
-``test_*`` or ``Test*`` name in README.md and perfbench/README.md must name
-a module, class or function under tests/.  The test files are read with
-``ast``, not imported.
+``test_*`` or ``Test*`` name in README.md, perfbench/README.md and
+ROADMAP.md must name a module, class or function under tests/.  The test
+files are read with ``ast``, not imported.
 """
 
 import ast
@@ -46,7 +46,7 @@ def dead_citations(text):
     return dead + [name for name in NAME.findall(PATH.sub("", text)) if name not in KNOWN]
 
 
-@pytest.mark.parametrize("doc", ["README.md", "perfbench/README.md"])
+@pytest.mark.parametrize("doc", ["README.md", "perfbench/README.md", "ROADMAP.md"])
 def test_every_cited_test_exists(doc):
     assert dead_citations((ROOT / doc).read_text()) == []
 

@@ -26,6 +26,7 @@ from kljnsim.line import (
     reflection_coefficient,
     run_transient,
 )
+from kljnsim.montecarlo import ENGINE_TOLERANCE
 from kljnsim.noise import BOLTZMANN, in_band_bins
 from kljnsim.protocol import PhysicalConfig
 
@@ -166,34 +167,29 @@ class TestTransmissionLine:
 
 class TestLatticeStepResponse:
     def test_before_first_arrival(self):
-        v_src, v_load = lattice_step_response(1.0, R_H, R_L, Z0, TF, 0.4 * TF)
+        v_src, v_load = lattice_step_response(R_H, R_L, Z0, 0)
         assert v_src == pytest.approx(Z0 / (R_H + Z0), rel=1e-15)
         assert v_load == 0.0
 
     def test_dc_limit(self):
-        v_src, v_load = lattice_step_response(1.0, R_H, R_L, Z0, TF, 3000.5 * TF)
+        v_src, v_load = lattice_step_response(R_H, R_L, Z0, 3000)
         dc = R_L / (R_H + R_L)
         assert v_src == pytest.approx(dc, rel=1e-10)
         assert v_load == pytest.approx(dc, rel=1e-10)
 
     def test_first_reflection_window_value(self):
         # source value in (2 t_f, 4 t_f): launch plus (1 + G_src) * G_load * launch
-        u, r_src, r_load = 1.0, R_H, R_L
-        launch = u * Z0 / (r_src + Z0)
-        g_s = reflection_coefficient(r_src, Z0)
-        g_l = reflection_coefficient(r_load, Z0)
+        launch = Z0 / (R_H + Z0)
+        g_s = reflection_coefficient(R_H, Z0)
+        g_l = reflection_coefficient(R_L, Z0)
         expected = launch * (1.0 + (1.0 + g_s) * g_l)
-        v_src, _ = lattice_step_response(u, r_src, r_load, Z0, TF, 2.5 * TF)
+        v_src, _ = lattice_step_response(R_H, R_L, Z0, 2)
         assert v_src == pytest.approx(expected, rel=1e-14)
 
-    def test_rejects_query_at_arrival(self):
-        for k in (1, 2, 5):
-            with pytest.raises(ValueError):
-                lattice_step_response(1.0, R_H, R_L, Z0, TF, k * TF)
-
-    def test_rejects_negative_time(self):
-        with pytest.raises(ValueError):
-            lattice_step_response(1.0, R_H, R_L, Z0, TF, -TF)
+    @pytest.mark.parametrize("m", [-1, 2.5, 2.0, "2"])
+    def test_rejects_an_index_that_is_not_a_fly_time(self, m):
+        with pytest.raises(ValueError, match=f"non-negative integer, got {m!r}"):
+            lattice_step_response(R_H, R_L, Z0, m)
 
 
 class TestRunTransient:
@@ -208,11 +204,7 @@ class TestRunTransient:
         wf = run_transient(CFG, np.ones(n), R_H, np.zeros(n), R_L)
         worst = 0.0
         for k in range(n):
-            t = k * DT
-            near = round(t / TF)
-            if near > 0 and abs(t - near * TF) <= 0.5 * DT:
-                continue
-            v_src, v_load = lattice_step_response(1.0, R_H, R_L, Z0, TF, t)
+            v_src, v_load = lattice_step_response(R_H, R_L, Z0, k // D)
             ref = max(abs(v_src), abs(v_load))
             worst = max(worst, abs(wf.v_a[k] - v_src) / ref, abs(wf.v_b[k] - v_load) / ref)
         assert worst < 1e-9
@@ -310,13 +302,19 @@ EXAMPLES = settings(max_examples=30, deadline=None)
 
 
 @st.composite
+def _configs(draw, max_divisor):
+    """A terminated line, R_H > R_L, of 10 to ``max_divisor`` samples per fly time."""
+    r_l = draw(st.floats(1.0, 1e5))
+    r_h = draw(st.floats(r_l, 2e5, exclude_min=True))
+    return PhysicalConfig(r_h=r_h, r_l=r_l, z0=draw(st.floats(1.0, 1e3)),
+                          dt_divisor=draw(st.integers(10, max_divisor)))
+
+
+@st.composite
 def _lines(draw):
     """A terminated line and two random drives whose length need not be a
     multiple of the delay."""
-    r_l = draw(st.floats(1.0, 1e5))
-    r_h = draw(st.floats(r_l, 2e5, exclude_min=True))
-    config = PhysicalConfig(r_h=r_h, r_l=r_l, z0=draw(st.floats(1.0, 1e3)),
-                            dt_divisor=draw(st.integers(10, 60)))
+    config = draw(_configs(60))
     n = draw(st.integers(1, 5 * config.dt_divisor))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     return config, rng.normal(size=n), rng.normal(size=n)
@@ -330,7 +328,20 @@ def _default_line(n: int, seed: int):
 
 
 class TestEngineProperties:
-    """Exact identities of the array engine on randomly drawn lines."""
+    """Exact identities of the array engine on randomly drawn lines, and its
+    step response against the bounce diagram."""
+
+    @EXAMPLES
+    @given(_configs(64), st.integers(0, 40))
+    @example(CFG, 5)
+    def test_step_response_matches_the_bounce_diagram_in_every_sample(self, config, m):
+        d = config.dt_divisor
+        n = (m + 1) * d
+        wf = run_transient(config, np.ones(n), config.r_h, np.zeros(n), config.r_l)
+        oracle = lattice_step_response(config.r_h, config.r_l, config.z0, m)
+        ref = max(map(abs, oracle))
+        for v, v_oracle in zip((wf.v_a, wf.v_b), oracle):
+            assert np.max(np.abs(v[m * d:] - v_oracle)) <= ENGINE_TOLERANCE * ref
 
     @EXAMPLES
     @given(_lines())
