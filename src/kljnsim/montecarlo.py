@@ -314,27 +314,32 @@ class SteadyStateReport:
 
     ``engine_error`` is the worst relative error of the step response, and
     ``periodic_error`` that of one propagated segment per state after its
-    discard window.  ``ms_voltage_theory`` and ``ms_current_theory`` are the
-    ideal-line references (``ideal_line_steady_state`` on the records'
-    in-band bins) that the level checks use.
+    discard window.  ``mean`` and ``se`` hold the mean of the chunk means
+    and its standard error for each row of the chunk table: HL's
+    end-averaged <v^2>, HL's <i^2>, HL's v*i at A, LH's <v^2> and LH's
+    <i^2>.  ``theory`` holds the ideal-line <v^2> and <i^2>
+    (``ideal_line_steady_state`` on the records' in-band bins) that the
+    level checks use.
     """
 
     engine_error: float
     periodic_error: float
     duration: float
     n_segments: int
-    ms_voltage: float
-    ms_voltage_se: float
-    ms_voltage_theory: float
-    ms_current: float
-    ms_current_se: float
-    ms_current_theory: float
-    hl_lh_voltage_diff: float
-    hl_lh_voltage_diff_se: float
-    hl_lh_current_diff: float
-    hl_lh_current_diff_se: float
-    mean_power: float
-    mean_power_se: float
+    mean: list[float]
+    se: list[float]
+    theory: list[float]
+
+    @property
+    def deviation(self) -> list[float]:
+        """HL's <v^2> and <i^2> over their ideal-line levels, minus 1."""
+        return [m / t - 1.0 for m, t in zip(self.mean, self.theory)]
+
+    @property
+    def hl_lh(self) -> list[tuple[float, float]]:
+        """The HL-LH difference of <v^2> and of <i^2>, each with its standard error."""
+        return [(self.mean[k] - self.mean[k + 3], math.hypot(self.se[k], self.se[k + 3]))
+                for k in (0, 1)]
 
     @property
     def engine_ok(self) -> bool:
@@ -346,22 +351,19 @@ class SteadyStateReport:
 
     @property
     def voltage_ok(self) -> bool:
-        return abs(self.ms_voltage / self.ms_voltage_theory - 1.0) <= LEVEL_TOLERANCE
+        return abs(self.deviation[0]) <= LEVEL_TOLERANCE
 
     @property
     def current_ok(self) -> bool:
-        return abs(self.ms_current / self.ms_current_theory - 1.0) <= LEVEL_TOLERANCE
+        return abs(self.deviation[1]) <= LEVEL_TOLERANCE
 
     @property
     def hl_lh_ok(self) -> bool:
-        return (
-            abs(self.hl_lh_voltage_diff) <= SIGMA_LIMIT * self.hl_lh_voltage_diff_se
-            and abs(self.hl_lh_current_diff) <= SIGMA_LIMIT * self.hl_lh_current_diff_se
-        )
+        return all(abs(diff) <= SIGMA_LIMIT * se for diff, se in self.hl_lh)
 
     @property
     def power_ok(self) -> bool:
-        return abs(self.mean_power) <= SIGMA_LIMIT * self.mean_power_se
+        return abs(self.mean[2]) <= SIGMA_LIMIT * self.se[2]
 
     @property
     def all_ok(self) -> bool:
@@ -372,8 +374,14 @@ class SteadyStateReport:
         def flag(ok: bool) -> str:
             return "pass" if ok else "FAIL"
 
-        rel_v = self.ms_voltage / self.ms_voltage_theory - 1.0
-        rel_i = self.ms_current / self.ms_current_theory - 1.0
+        levels = [
+            f"  wire <{q}^2>: {self.mean[k]:.6e} +- {self.se[k]:.2e} {unit}^2 | "
+            f"ideal line = {self.theory[k]:.6e} {unit}^2 | "
+            f"rel dev {self.deviation[k]:+.4f} (tol {LEVEL_TOLERANCE:.2%}) [{flag(ok)}]"
+            for k, (q, unit, ok) in enumerate(zip("vi", "VA", (self.voltage_ok, self.current_ok)))
+        ]
+        diffs = ", ".join(f"<{q}^2> diff: {diff:+.3e} ({abs(diff) / se:.2f} se)"
+                          for q, (diff, se) in zip("vi", self.hl_lh))
         lines = [
             "line engine:",
             f"  step response vs bounce-diagram oracle: worst rel err {self.engine_error:.3e} "
@@ -381,18 +389,9 @@ class SteadyStateReport:
             f"  settled waves vs periodic steady state: worst rel err {self.periodic_error:.3e} "
             f"(limit {PERIODIC_TOLERANCE:.0e}) [{flag(self.periodic_ok)}]",
             f"steady state over {self.duration:g} s per state ({self.n_segments} segments)",
-            f"  wire <v^2>: {self.ms_voltage:.6e} +- {self.ms_voltage_se:.2e} V^2 | "
-            f"ideal line = {self.ms_voltage_theory:.6e} V^2 | "
-            f"rel dev {rel_v:+.4f} (tol {LEVEL_TOLERANCE:.2%}) [{flag(self.voltage_ok)}]",
-            f"  wire <i^2>: {self.ms_current:.6e} +- {self.ms_current_se:.2e} A^2 | "
-            f"ideal line = {self.ms_current_theory:.6e} A^2 | "
-            f"rel dev {rel_i:+.4f} (tol {LEVEL_TOLERANCE:.2%}) [{flag(self.current_ok)}]",
-            f"  HL-LH <v^2> diff: {self.hl_lh_voltage_diff:+.3e} "
-            f"({abs(self.hl_lh_voltage_diff) / self.hl_lh_voltage_diff_se:.2f} se), "
-            f"<i^2> diff: {self.hl_lh_current_diff:+.3e} "
-            f"({abs(self.hl_lh_current_diff) / self.hl_lh_current_diff_se:.2f} se) "
-            f"[{flag(self.hl_lh_ok)}]",
-            f"  mean power flow at A: {self.mean_power:+.3e} +- {self.mean_power_se:.2e} W "
+            *levels,
+            f"  HL-LH {diffs} [{flag(self.hl_lh_ok)}]",
+            f"  mean power flow at A: {self.mean[2]:+.3e} +- {self.se[2]:.2e} W "
             f"[{flag(self.power_ok)}]",
             f"overall: {flag(self.all_ok)}",
         ]
@@ -577,33 +576,21 @@ def validate_steady_state(config: PhysicalConfig, duration: float, seed: int) ->
     overflow or underflow, or a line that settles in more than a quarter
     segment is rejected before any check starts.
     """
-    n_seg, discard, v2_theory, i2_theory = _plan_steady_state(config, duration)
+    n_seg, discard, *theory = _plan_steady_state(config, duration)
     engine_error = _engine_step_error(config)
-    seg_duration = SEGMENT_SAMPLES * config.dt
     chunks_per_seg = 4 if n_seg < 8 else 1
 
     hl, error_hl = _steady_segments(config, BitState.HL, n_seg, discard, chunks_per_seg, seed)
     lh, error_lh = _steady_segments(config, BitState.LH, n_seg, discard, chunks_per_seg, seed)
     # Rows: HL's v^2, i^2 and v*i, then LH's v^2 and i^2.
     table = np.vstack((hl, lh[:2]))
-    v2, i2, power, v2l, i2l = np.mean(table, axis=1).tolist()
-    se = np.std(table, ddof=1, axis=1) / math.sqrt(table.shape[1])
-    v2_se, i2_se, power_se, v2l_se, i2l_se = se.tolist()
     return SteadyStateReport(
         engine_error=engine_error,
+        # np.max, not max: max(x, nan) would hide a NaN in LH's error.
         periodic_error=float(np.max([error_hl, error_lh])),
-        duration=n_seg * seg_duration,
+        duration=n_seg * (SEGMENT_SAMPLES * config.dt),
         n_segments=n_seg,
-        ms_voltage=v2,
-        ms_voltage_se=v2_se,
-        ms_voltage_theory=v2_theory,
-        ms_current=i2,
-        ms_current_se=i2_se,
-        ms_current_theory=i2_theory,
-        hl_lh_voltage_diff=v2 - v2l,
-        hl_lh_voltage_diff_se=math.hypot(v2_se, v2l_se),
-        hl_lh_current_diff=i2 - i2l,
-        hl_lh_current_diff_se=math.hypot(i2_se, i2l_se),
-        mean_power=power,
-        mean_power_se=power_se,
+        mean=np.mean(table, axis=1).tolist(),
+        se=(np.std(table, ddof=1, axis=1) / math.sqrt(table.shape[1])).tolist(),
+        theory=theory,
     )

@@ -249,16 +249,15 @@ def test_criterion_06_scenario4_full_defense(experiments):
 def test_criterion_07_steady_state_identities(steady_report):
     r = steady_report
     print(r.render(), flush=True)
-    dev_v = r.ms_voltage / r.ms_voltage_theory - 1.0
-    dev_i = r.ms_current / r.ms_current_theory - 1.0
+    dev_v, dev_i = r.deviation
     volt = "ok" if r.voltage_ok else f"off by {dev_v:+.1%}"
     curr = "ok" if r.current_ok else f"off by {dev_i:+.1%}"
     ok = r.all_ok
     line = _verdict(
         7,
         ok,
-        f"<v^2> {r.ms_voltage:.4g} vs ideal line {r.ms_voltage_theory:.4g} V^2: {volt}, "
-        f"<i^2> {r.ms_current:.4g} vs ideal line {r.ms_current_theory:.4g} A^2: {curr}, "
+        f"<v^2> {r.mean[0]:.4g} vs ideal line {r.theory[0]:.4g} V^2: {volt}, "
+        f"<i^2> {r.mean[1]:.4g} vs ideal line {r.theory[1]:.4g} A^2: {curr}, "
         f"HL=LH {'ok' if r.hl_lh_ok else 'violated'}, "
         f"zero power flow {'ok' if r.power_ok else 'violated'}",
     )

@@ -199,16 +199,6 @@ class TestRunTransient:
         for arr in (wf.v_a, wf.v_b, wf.i_a, wf.i_b):
             assert not arr.any()
 
-    def test_step_matches_bounce_oracle(self):
-        n = 16 * D
-        wf = run_transient(CFG, np.ones(n), R_H, np.zeros(n), R_L)
-        worst = 0.0
-        for k in range(n):
-            v_src, v_load = lattice_step_response(R_H, R_L, Z0, k // D)
-            ref = max(abs(v_src), abs(v_load))
-            worst = max(worst, abs(wf.v_a[k] - v_src) / ref, abs(wf.v_b[k] - v_load) / ref)
-        assert worst < 1e-9
-
     def test_superposition_of_single_source_runs(self):
         n = 8 * D
         rng = np.random.default_rng(17)

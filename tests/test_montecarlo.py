@@ -12,6 +12,7 @@ import pytest
 from kljnsim import montecarlo
 from kljnsim.line import lattice_step_response, periodic_steady_state, run_transient
 from kljnsim.montecarlo import (
+    SteadyStateReport,
     run_experiment,
     trial_waveforms,
     validate_steady_state,
@@ -51,6 +52,54 @@ def _broken_engine(sample: int, delta: float = 1e-6):
         wf.v_b[sample] += delta
         return wf
     return broken
+
+
+def _validate_with_i_b_fault(monkeypatch, call: int, fault) -> SteadyStateReport:
+    """A one-segment validate whose ``call``-th propagated segment (1: HL,
+    2: LH) has i_b at sample n - 125 = 3 + 128 * (2^14 - 1), the last sample
+    of the checked grid shifted by 3, set to ``fault(i_b)``."""
+    propagate = montecarlo._propagate
+    calls = []
+
+    def faulty(*args):
+        waves = propagate(*args)
+        calls.append(1)
+        if len(calls) == call:
+            waves[3][-125] = fault(waves[3])
+        return waves
+
+    monkeypatch.setattr(montecarlo, "_propagate", faulty)
+    return validate_steady_state(CFG, 1000.0 / CFG.bandwidth, 1)
+
+
+Q = 2.0**-8
+E = 2.0**-30  # a step past a limit that keeps every value exact in binary
+
+
+def _report(dev=(2**-6, -(2**-6)), diff=(15 * Q, 15 * Q), power=3 * Q, **fields):
+    """A hand-built report, exact in binary: HL's levels ``dev`` off
+    ideal-line levels of 1 and 2, HL above LH by ``diff``, and standard
+    errors that put a diff of 15 * Q at 3 SEs (hypot(3, 4) * Q = 5 * Q) and
+    a power of 3 * Q at 3 SEs.  With the defaults every clause sits at or
+    inside its limit."""
+    mean = [1.0 + dev[0], 2.0 * (1.0 + dev[1]), power]
+    mean += [mean[0] - diff[0], mean[1] - diff[1]]
+    return SteadyStateReport(**{
+        "engine_error": montecarlo.ENGINE_TOLERANCE,
+        "periodic_error": montecarlo.PERIODIC_TOLERANCE,
+        "duration": 0.2,
+        "n_segments": 1,
+        "mean": mean,
+        "se": [3 * Q, 3 * Q, Q, 4 * Q, 4 * Q],
+        "theory": [1.0, 2.0],
+        **fields,
+    })
+
+
+def _failing_lines(report: SteadyStateReport) -> set[int]:
+    """Indices of the rendered lines flagged FAIL: 1 engine, 2 settled waves,
+    4 <v^2> level, 5 <i^2> level, 6 HL-LH, 7 power, 8 overall."""
+    return {k for k, line in enumerate(report.render().splitlines()) if "FAIL" in line}
 
 
 class TestRunExperiment:
@@ -367,9 +416,12 @@ class TestValidateSteadyState:
     def test_report_structure_on_minimal_run(self):
         report = validate_steady_state(CFG, 1000.0 / CFG.bandwidth, 1)
         assert report.n_segments >= 1
-        assert report.ms_voltage > 0 and report.ms_current > 0
-        assert report.ms_voltage_se > 0
-        assert np.isfinite(report.mean_power)
+        assert len(report.mean) == len(report.se) == 5 and len(report.theory) == 2
+        assert all(m > 0 for m in report.mean[:2] + report.mean[3:])
+        assert all(se > 0 for se in report.se)
+        assert np.isfinite(report.mean[2])
+        assert report.deviation == [m / t - 1.0 for m, t in zip(report.mean, report.theory)]
+        assert report.periodic_ok
         # identical-by-construction symmetry holds regardless of cable effects
         assert report.hl_lh_ok
         assert report.power_ok
@@ -378,3 +430,69 @@ class TestValidateSteadyState:
         assert "wire <v^2>" in text and "mean power" in text
         assert text.startswith("line engine:\n")
         assert text.endswith(f"\noverall: {'pass' if report.all_ok else 'FAIL'}")
+
+    def test_settled_waves_check_sees_a_fault_on_a_checked_grid(self, monkeypatch):
+        report = _validate_with_i_b_fault(
+            monkeypatch, 1, lambda i_b: i_b[-125] + 1e-9 * math.sqrt(float(np.mean(i_b**2))))
+        assert report.periodic_error == pytest.approx(1e-9, rel=0.05)
+        assert not report.periodic_ok and not report.all_ok
+        assert _failing_lines(report) == {2, 8}
+
+    def test_settled_waves_check_sees_a_nan_in_lh_alone(self, monkeypatch):
+        report = _validate_with_i_b_fault(monkeypatch, 2, lambda i_b: math.nan)
+        assert math.isnan(report.periodic_error)
+        assert not report.periodic_ok and not report.all_ok
+        assert 2 in _failing_lines(report)
+
+
+class TestSteadyStateReport:
+    def test_every_clause_passes_at_its_limit(self):
+        report = _report()
+        assert report.deviation == [2**-6, -(2**-6)]
+        assert report.hl_lh == [(15 * Q, 5 * Q), (15 * Q, 5 * Q)]
+        assert report.all_ok and _failing_lines(report) == set()
+
+    @pytest.mark.parametrize("changes, failing", [
+        ({"engine_error": math.nextafter(montecarlo.ENGINE_TOLERANCE, math.inf)}, 1),
+        ({"periodic_error": math.nextafter(montecarlo.PERIODIC_TOLERANCE, math.inf)}, 2),
+        ({"dev": (2**-5, -(2**-6))}, 4),
+        ({"dev": (-(2**-5), -(2**-6))}, 4),
+        ({"dev": (2**-6, 2**-5)}, 5),
+        ({"dev": (2**-6, -(2**-5))}, 5),
+        ({"diff": (15 * Q + E, 15 * Q)}, 6),
+        ({"diff": (15 * Q, -15 * Q - E)}, 6),
+        ({"power": 3 * Q + E}, 7),
+        ({"power": -3 * Q - E}, 7),
+    ], ids=["engine", "periodic", "voltage-high", "voltage-low", "current-high",
+            "current-low", "hl-lh-voltage", "hl-lh-current", "power-positive",
+            "power-negative"])
+    def test_each_clause_fails_just_beyond_its_limit(self, changes, failing):
+        # the level limit, 2%, lies between the deviations 2^-6 and 2^-5
+        report = _report(**changes)
+        assert not report.all_ok
+        assert _failing_lines(report) == {failing, 8}
+
+    @pytest.mark.parametrize("field, k, failing", [
+        ("engine_error", None, {1}),
+        ("periodic_error", None, {2}),
+        ("mean", 0, {4, 6}),
+        ("mean", 1, {5, 6}),
+        ("mean", 2, {7}),
+        ("mean", 3, {6}),
+        ("mean", 4, {6}),
+        ("se", 0, {6}),
+        ("se", 1, {6}),
+        ("se", 2, {7}),
+        ("se", 3, {6}),
+        ("se", 4, {6}),
+        ("theory", 0, {4}),
+        ("theory", 1, {5}),
+    ])
+    def test_a_nan_fails_every_clause_that_reads_it(self, field, k, failing):
+        report = _report()
+        if k is None:
+            setattr(report, field, math.nan)
+        else:
+            getattr(report, field)[k] = math.nan
+        assert not report.all_ok
+        assert _failing_lines(report) == failing | {8}
